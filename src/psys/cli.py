@@ -33,10 +33,6 @@ EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
 
-class BudgetExhausted(Exception):
-    pass
-
-
 class _CliFailure(Exception):
     def __init__(self, code: int):
         self.code = code
@@ -49,6 +45,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low: int):
+    """argparse type: an integer of at least `low`; _Parser turns a bad one into exit 1."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _read_text(path: str) -> str:
@@ -208,7 +219,11 @@ def cmd_compile_rm(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as err:
+            print(f"error: cannot write {args.output}: {err}", file=sys.stderr)
+            return EXIT_USAGE
         print(
             json.dumps(
                 {
@@ -250,7 +265,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="run one computation, streaming the trace")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=_at_least(0), default=10_000)
     p.add_argument(
         "--policy",
         choices=("enumerate-uniform", "greedy-random"),
@@ -266,10 +281,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("explore", help="enumerate halting results within budgets")
     p.add_argument("file")
-    p.add_argument("--max-depth", type=int, default=64)
-    p.add_argument("--max-objects", type=int, default=64)
-    p.add_argument("--max-branches", type=int, default=10_000)
-    p.add_argument("--max-configs", type=int, default=1_000_000)
+    p.add_argument("--max-depth", type=_at_least(1), default=64)
+    p.add_argument("--max-objects", type=_at_least(1), default=64)
+    p.add_argument("--max-branches", type=_at_least(1), default=10_000)
+    p.add_argument("--max-configs", type=_at_least(1), default=1_000_000)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_explore)
 
@@ -290,7 +305,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rm-verify", help="bounded equivalence audit of the compiler")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=_at_least(0), default=8)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_rm_verify)
 

@@ -15,17 +15,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 from .model import (
-    CellAntiport,
     CellPSystem,
-    InteractionRule,
-    InteractionSystem,
     PSystem,
     SymportIn,
     SymportOut,
-    TissueAntiport,
     TissuePSystem,
     TissueSymport,
     UniportRule,
@@ -141,121 +137,135 @@ class Trace:
 
 
 def _merge(parts: list[tuple[int, Multiset]]) -> tuple[tuple[int, Multiset], ...]:
+    # Multisets are immutable, so a node's only part is kept as it is.
     by_node: dict[int, Multiset] = {}
     for node, ms in parts:
-        by_node[node] = by_node.get(node, EMPTY) + ms
+        by_node[node] = by_node[node] + ms if node in by_node else ms
     return tuple(sorted(by_node.items()))
+
+
+def _moves(sys: PSystem, rule) -> tuple[str, list[tuple[int, Multiset, int]]]:
+    """Display text of one rule and the (src, objects, dst) moves it makes."""
+    if isinstance(sys, CellPSystem):
+        inner, outer, form = rule.region, sys.structure.outer(rule.region), rule.form
+        text = f"{cell_rule_text(rule)} @ {inner}"
+        if isinstance(form, SymportIn):
+            return text, [(outer, form.objects, inner)]
+        if isinstance(form, SymportOut):
+            return text, [(inner, form.objects, outer)]
+        return text, [(inner, form.outbound, outer), (outer, form.inbound, inner)]
+    if isinstance(sys, TissuePSystem):
+        text = tissue_rule_text(rule)
+        if isinstance(rule, TissueSymport):
+            return text, [(rule.src, rule.objects, rule.dst)]
+        return text, [(rule.src, rule.outbound, rule.dst), (rule.dst, rule.inbound, rule.src)]
+    text = interaction_rule_text(rule)
+    if isinstance(rule, UniportRule):
+        return text, [(rule.src, Multiset([rule.obj]), rule.dst)]
+    return text, [
+        (rule.src_a, Multiset([rule.obj_a]), rule.dst_a),
+        (rule.src_b, Multiset([rule.obj_b]), rule.dst_b),
+    ]
 
 
 def normalize_rules(sys: PSystem) -> tuple[TransferRule, ...]:
     """Express every rule of the system as node-indexed transfers.
 
-    Rule order is preserved and identifiers are positional (r1, r2, ...),
-    so systems derived from each other rule-for-rule keep aligned ids.
+    A rule consumes the merge of its moves' sources and produces the
+    merge of their destinations. Rule order is preserved and identifiers
+    are positional (r1, r2, ...), so systems derived from each other
+    rule-for-rule keep aligned ids.
     """
     out = []
-    if isinstance(sys, CellPSystem):
-        for pos, rule in enumerate(sys.rules):
-            region = rule.region
-            outer = sys.structure.outer(region)
-            form = rule.form
-            if isinstance(form, SymportIn):
-                consume = [(outer, form.objects)]
-                produce = [(region, form.objects)]
-            elif isinstance(form, SymportOut):
-                consume = [(region, form.objects)]
-                produce = [(outer, form.objects)]
-            else:
-                consume = [(region, form.outbound), (outer, form.inbound)]
-                produce = [(outer, form.outbound), (region, form.inbound)]
-            text = f"{cell_rule_text(rule)} @ {region}"
-            out.append(
-                TransferRule(pos, f"r{pos + 1}", text, _merge(consume), _merge(produce))
-            )
-    elif isinstance(sys, TissuePSystem):
-        for pos, rule in enumerate(sys.rules):
-            if isinstance(rule, TissueSymport):
-                consume = [(rule.src, rule.objects)]
-                produce = [(rule.dst, rule.objects)]
-            else:
-                consume = [(rule.src, rule.outbound), (rule.dst, rule.inbound)]
-                produce = [(rule.dst, rule.outbound), (rule.src, rule.inbound)]
-            text = tissue_rule_text(rule)
-            out.append(
-                TransferRule(pos, f"r{pos + 1}", text, _merge(consume), _merge(produce))
-            )
-    else:
-        for pos, rule in enumerate(sys.rules):
-            if isinstance(rule, UniportRule):
-                consume = [(rule.src, Multiset([rule.obj]))]
-                produce = [(rule.dst, Multiset([rule.obj]))]
-            else:
-                consume = [
-                    (rule.src_a, Multiset([rule.obj_a])),
-                    (rule.src_b, Multiset([rule.obj_b])),
-                ]
-                produce = [
-                    (rule.dst_a, Multiset([rule.obj_a])),
-                    (rule.dst_b, Multiset([rule.obj_b])),
-                ]
-            text = interaction_rule_text(rule)
-            out.append(
-                TransferRule(pos, f"r{pos + 1}", text, _merge(consume), _merge(produce))
-            )
+    for pos, rule in enumerate(sys.rules):
+        text, moves = _moves(sys, rule)
+        consume = _merge([(src, objects) for src, objects, _ in moves])
+        produce = _merge([(dst, objects) for _, objects, dst in moves])
+        out.append(TransferRule(pos, f"r{pos + 1}", text, consume, produce))
     return tuple(out)
 
 
-def _labels(sys: PSystem) -> range:
-    if isinstance(sys, CellPSystem):
-        return sys.structure.labels
-    return range(1, sys.n_cells + 1)
+# Resource accounting works on residual pools: one name -> count dict per
+# node, node 0 holding the finite environment remainder. A rule's need
+# lists (node, name, count) for every finitely-tracked object it consumes.
+_Pools = dict[int, dict[str, int]]
+_Need = tuple[tuple[int, str, int], ...]
+
+
+def _pools(c: Configuration) -> _Pools:
+    pools = {node: dict(ms.items()) for node, ms in c.regions.items()}
+    pools[0] = dict(c.env.finite.items())
+    return pools
+
+
+def _bound(need: _Need, pools: _Pools) -> Optional[int]:
+    """How many more applications fit into the pools; None if unbounded."""
+    bound = None
+    for node, name, count in need:
+        fits = pools[node].get(name, 0) // count
+        if bound is None or fits < bound:
+            bound = fits
+    return bound
+
+
+def _take(need: _Need, pools: _Pools, m: int) -> None:
+    """Remove `m` applications' worth of `need` in place; negative `m` gives back."""
+    for node, name, count in need:
+        pool = pools[node]
+        pool[name] = pool.get(name, 0) - m * count
+
+
+def _unbounded(rule: TransferRule) -> UnboundedStepError:
+    return UnboundedStepError(f"rule {rule.rid} {rule.text} consumes only unlimited objects")
 
 
 class Engine:
     """Transition function of one system.
 
-    Instances are cheap and stateless beyond the normalized rules; all
-    methods are pure functions of the configuration they receive.
+    Instances are cheap and stateless beyond the normalized rules and
+    their needs; all methods are pure functions of the configuration they
+    receive, which draws on the system's unlimited supply.
     """
 
     def __init__(self, sys: PSystem):
         self.system = sys
-        self.labels = _labels(sys)
+        cell = isinstance(sys, CellPSystem)
+        self.labels = sys.structure.labels if cell else range(1, sys.n_cells + 1)
         self.rules = normalize_rules(sys)
         self.output = sys.output
+        unlimited = sys.env_support
+        self._needs: list[_Need] = [
+            tuple([
+                (node, name, count)
+                for node, ms in rule.consume
+                for name, count in ms.items()
+                if node or name not in unlimited
+            ])
+            for rule in self.rules
+        ]
 
-    def initial(self) -> Configuration:
+    def initial(
+        self, input_objects: Multiset = EMPTY, input_region: Optional[int] = None
+    ) -> Configuration:
+        """The declared start configuration, plus `input_objects` in `input_region`.
+
+        Raises ValueError for an input region the system does not have.
+        """
         regions = {label: self.system.initial_contents(label) for label in self.labels}
+        if input_objects or input_region is not None:
+            if input_region not in regions:
+                raise ValueError(f"no region labeled {input_region}")
+            regions[input_region] = regions[input_region] + input_objects
         return Configuration(regions, EnvContent(self.system.env_support))
-
-    def _max_multiplicity(self, rule: TransferRule, c: Configuration) -> Optional[int]:
-        """Largest m with m parallel applications affordable; None if unbounded."""
-        bound: Optional[int] = None
-        for node, need in rule.consume:
-            if node == 0:
-                for name, count in need.items():
-                    if name in c.env.infinite:
-                        continue
-                    have = c.env.finite.count(name)
-                    bound = min(bound, have // count) if bound is not None else have // count
-            else:
-                have_ms = c.regions[node]
-                for name, count in need.items():
-                    have = have_ms.count(name)
-                    bound = min(bound, have // count) if bound is not None else have // count
-            if bound == 0:
-                return 0
-        return bound
 
     def enabled(self, c: Configuration) -> list[tuple[TransferRule, int]]:
         """Rules applicable at least once, with the largest standalone multiplicity."""
+        pools = _pools(c)
         out = []
-        for rule in self.rules:
-            bound = self._max_multiplicity(rule, c)
+        for rule, need in zip(self.rules, self._needs):
+            bound = _bound(need, pools)
             if bound is None:
-                raise UnboundedStepError(
-                    f"rule {rule.rid} {rule.text} consumes only unlimited objects"
-                )
+                raise _unbounded(rule)
             if bound > 0:
                 out.append((rule, bound))
         return out
@@ -280,80 +290,44 @@ class Engine:
         enabled = self.enabled(c)
         if not enabled:
             return (), True
+        in_play = [(rule.index, self._needs[rule.index]) for rule, _ in enabled]
+        pools = _pools(c)
+        counts = [0] * len(in_play)
         choices: list[StepChoice] = []
         aborted = False
         # Every jointly applicable multiplicity vector, highest counts
         # first, keeping the ones no single extra application extends.
-        # Abort only once we are sure to overflow, so hitting cap exactly
-        # still reports a complete enumeration.
+        # Each level takes its rule's resources out of the residual pools
+        # and gives them back one application at a time. Abort only once
+        # we are sure to overflow, so hitting cap exactly still reports a
+        # complete enumeration.
         work_limit = max(cap * 64, 65_536)
         leaves = 0
 
-        def available_after(
-            assignment: list[tuple[TransferRule, int]], rule: TransferRule
-        ) -> int:
-            remaining_bound: Optional[int] = None
-            for node, need in rule.consume:
-                if node == 0:
-                    pool = c.env.finite
-                    spent = Multiset()
-                    for chosen, m in assignment:
-                        for cnode, cms in chosen.consume:
-                            if cnode == 0:
-                                spent = spent + cms.scale(m)
-                    for name, count in need.items():
-                        if name in c.env.infinite:
-                            continue
-                        have = pool.count(name) - spent.count(name)
-                        b = have // count
-                        remaining_bound = (
-                            b if remaining_bound is None else min(remaining_bound, b)
-                        )
-                else:
-                    pool = c.regions[node]
-                    spent = Multiset()
-                    for chosen, m in assignment:
-                        for cnode, cms in chosen.consume:
-                            if cnode == node:
-                                spent = spent + cms.scale(m)
-                    for name, count in need.items():
-                        have = pool.count(name) - spent.count(name)
-                        b = have // count
-                        remaining_bound = (
-                            b if remaining_bound is None else min(remaining_bound, b)
-                        )
-                if remaining_bound == 0:
-                    return 0
-            return remaining_bound if remaining_bound is not None else 0
-
-        rules_in_play = [rule for rule, _ in enabled]
-
-        def extendable(assignment: list[tuple[TransferRule, int]]) -> bool:
-            return any(available_after(assignment, rule) > 0 for rule in rules_in_play)
-
-        def dfs(pos: int, assignment: list[tuple[TransferRule, int]]):
+        def dfs(pos: int):
             nonlocal aborted, leaves
             if len(choices) > cap or leaves >= work_limit:
                 aborted = True
                 return
-            if pos == len(rules_in_play):
+            if pos == len(in_play):
                 leaves += 1
-                if not extendable(assignment):
-                    apps = tuple(
-                        sorted((rule.index, m) for rule, m in assignment if m > 0)
-                    )
+                if not any(_bound(need, pools) for _, need in in_play):
+                    apps = tuple((index, m) for (index, _), m in zip(in_play, counts) if m)
                     choices.append(StepChoice(apps))
                 return
-            rule = rules_in_play[pos]
-            top = available_after(assignment, rule)
-            for m in range(top, -1, -1):
-                assignment.append((rule, m))
-                dfs(pos + 1, assignment)
-                assignment.pop()
-                if aborted:
-                    return
+            need = in_play[pos][1]
+            m = _bound(need, pools)
+            _take(need, pools, m)
+            while True:
+                counts[pos] = m
+                dfs(pos + 1)
+                if aborted or m == 0:
+                    break
+                _take(need, pools, -1)
+                m -= 1
+            _take(need, pools, -m)
 
-        dfs(0, [])
+        dfs(0)
         if len(choices) > cap:
             return tuple(choices[:cap]), False
         return tuple(choices), not aborted
@@ -436,30 +410,16 @@ class Engine:
         """
         order = list(self.rules)
         rng.shuffle(order)
-        regions = dict(c.regions)
-        env_finite = c.env.finite
+        pools = _pools(c)
         granted: dict[int, int] = {}
         for rule in order:
-            bound: Optional[int] = None
-            for node, need in rule.consume:
-                pool = env_finite if node == 0 else regions[node]
-                for name, count in need.items():
-                    if node == 0 and name in c.env.infinite:
-                        continue
-                    b = pool.count(name) // count
-                    bound = b if bound is None else min(bound, b)
+            need = self._needs[rule.index]
+            bound = _bound(need, pools)
             if bound is None:
-                raise UnboundedStepError(
-                    f"rule {rule.rid} {rule.text} consumes only unlimited objects"
-                )
-            if bound == 0:
-                continue
-            granted[rule.index] = bound
-            for node, need in rule.consume:
-                if node == 0:
-                    env_finite = env_finite - need.without(c.env.infinite).scale(bound)
-                else:
-                    regions[node] = regions[node] - need.scale(bound)
+                raise _unbounded(rule)
+            if bound:
+                granted[rule.index] = bound
+                _take(need, pools, bound)
         return StepChoice(tuple(sorted(granted.items())))
 
     def run_accepting(
@@ -474,11 +434,9 @@ class Engine:
 
         Returns ("accepted", trace) or ("budget_exhausted", trace); a
         non-halting system cannot be distinguished from a slow one here.
+        Raises ValueError for an input region the system does not have.
         """
-        boosted = dict(self.system.init)
-        boosted[input_region] = boosted.get(input_region, EMPTY) + input_objects
-        regions = {label: boosted.get(label, EMPTY) for label in self.labels}
-        start = Configuration(regions, EnvContent(self.system.env_support))
+        start = self.initial(input_objects, input_region)
         trace = self._run_from(start, seed, max_steps, policy, cap=10_000)
         return ("accepted" if trace.halted else "budget_exhausted"), trace
 

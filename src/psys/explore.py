@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
-from .engine import Configuration, Engine, EnvContent, StepChoice
+from .engine import Configuration, Engine, StepChoice
 from .model import (
     CellAntiport,
     CellPSystem,
@@ -27,7 +27,7 @@ from .model import (
     SymportOut,
     validate_cell,
 )
-from .multiset import EMPTY, Multiset
+from .multiset import Multiset
 
 DEFAULT_MAX_DEPTH = 64
 DEFAULT_MAX_TOTAL_OBJECTS = 64
@@ -43,14 +43,9 @@ class ExploreBudget:
     max_configs: int = DEFAULT_MAX_CONFIGS
 
     def __post_init__(self):
-        for name in (
-            "max_depth",
-            "max_total_objects",
-            "max_branches",
-            "max_configs",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for budget in fields(self):
+            if getattr(self, budget.name) < 1:
+                raise ValueError(f"{budget.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,31 +82,45 @@ def explore(
     every generated (configuration, step, successor) edge once.
     """
     engine = sys if isinstance(sys, Engine) else Engine(sys)
-    if start is None:
-        start = engine.initial()
+    return _walk(engine, engine.initial() if start is None else start, budget, on_edge)[0]
+
+
+def _walk(
+    engine: Engine,
+    start: Configuration,
+    budget: ExploreBudget,
+    on_edge: Optional[EdgeHook] = None,
+    stop_at_branching: bool = False,
+) -> tuple[ExploreOutcome, Optional[Configuration]]:
+    """Breadth-first walk from `start`, memoizing visited configurations.
+
+    With `stop_at_branching` the walk ends at the first configuration
+    admitting more than one maximal step and returns it as the witness,
+    the second element; otherwise the witness is None.
+    """
     results: set[int] = set()
     halting_leaves = 0
     cut_branches = 0
-    exhausted = True
+    witness = None
     visited = {start}
     queue: deque[tuple[Configuration, int]] = deque([(start, 0)])
     while queue:
         config, depth = queue.popleft()
         steps, complete = engine.maximal_steps(config, cap=budget.max_branches)
+        if stop_at_branching and len(steps) > 1:
+            witness = config
+            break
         if not steps:
             halting_leaves += 1
             results.add(config.regions[engine.output].size)
             continue
         if config.total_tracked > budget.max_total_objects:
             cut_branches += 1
-            exhausted = False
             continue
         if not complete:
             cut_branches += 1
-            exhausted = False
         if depth >= budget.max_depth:
             cut_branches += 1
-            exhausted = False
             continue
         for choice in steps:
             successor = engine.apply(config, choice)
@@ -121,17 +130,17 @@ def explore(
                 continue
             if len(visited) >= budget.max_configs:
                 cut_branches += 1
-                exhausted = False
                 continue
             visited.add(successor)
             queue.append((successor, depth + 1))
-    return ExploreOutcome(
+    outcome = ExploreOutcome(
         results=frozenset(results),
-        exhausted=exhausted,
+        exhausted=cut_branches == 0,
         halting_leaves=halting_leaves,
         cut_branches=cut_branches,
         visited_configs=len(visited),
     )
+    return outcome, witness
 
 
 def decide_accept(
@@ -142,13 +151,10 @@ def decide_accept(
     "rejected_exhaustive" is only returned when the whole (finite,
     cycle-closed) computation graph was enumerated without finding a
     halting configuration, which proves every computation is infinite.
+    Raises ValueError for an input region the system does not have.
     """
     engine = Engine(sys)
-    boosted = dict(sys.init)
-    boosted[input_region] = boosted.get(input_region, EMPTY) + input_objects
-    regions = {label: boosted.get(label, EMPTY) for label in engine.labels}
-    start = Configuration(regions, EnvContent(sys.env_support))
-    outcome = explore(engine, budget, start=start)
+    outcome = explore(engine, budget, start=engine.initial(input_objects, input_region))
     if outcome.halting_leaves > 0:
         return "accepted"
     if outcome.exhausted:
@@ -165,36 +171,16 @@ class DeterminismVerdict:
 def check_deterministic(
     sys, budget: ExploreBudget = ExploreBudget()
 ) -> DeterminismVerdict:
-    """Search reachable configurations for one admitting several maximal steps."""
+    """Search reachable configurations for one admitting several maximal steps.
+
+    The walk stops before it could follow more than one step anywhere, so
+    it visits exactly the configurations of the single computation.
+    """
     engine = sys if isinstance(sys, Engine) else Engine(sys)
-    start = engine.initial()
-    visited = {start}
-    queue: deque[tuple[Configuration, int]] = deque([(start, 0)])
-    exhausted = True
-    while queue:
-        config, depth = queue.popleft()
-        steps, complete = engine.maximal_steps(config, cap=budget.max_branches)
-        if len(steps) > 1:
-            return DeterminismVerdict("nondeterministic", config)
-        if not complete:
-            exhausted = False
-        if not steps:
-            continue
-        if config.total_tracked > budget.max_total_objects:
-            exhausted = False
-            continue
-        if depth >= budget.max_depth:
-            exhausted = False
-            continue
-        successor = engine.apply(config, steps[0])
-        if successor in visited:
-            continue
-        if len(visited) >= budget.max_configs:
-            exhausted = False
-            continue
-        visited.add(successor)
-        queue.append((successor, depth + 1))
-    if exhausted:
+    outcome, witness = _walk(engine, engine.initial(), budget, stop_at_branching=True)
+    if witness is not None:
+        return DeterminismVerdict("nondeterministic", witness)
+    if outcome.exhausted:
         return DeterminismVerdict("deterministic_up_to_budget")
     return DeterminismVerdict("unknown")
 

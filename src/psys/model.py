@@ -227,25 +227,31 @@ class UniportRule:
     dst: int
 
 
+class _System:
+    """What every system kind shares: normalized fields and initial contents.
+
+    Each kind is a dataclass whose second field (a membrane structure or
+    a cell count) says where its regions are.
+    """
+
+    def __post_init__(self):
+        self.alphabet = frozenset(self.alphabet)
+        self.init = {label: ms for label, ms in dict(self.init).items() if ms}
+        self.env_support = frozenset(self.env_support)
+        self.rules = tuple(self.rules)
+
+    def initial_contents(self, label: int) -> Multiset:
+        return self.init.get(label, Multiset())
+
+
 @dataclass
-class CellPSystem:
+class CellPSystem(_System):
     alphabet: frozenset[str]
     structure: MembraneStructure
     init: dict[int, Multiset]
     env_support: frozenset[str]
     rules: tuple[CellRule, ...]
     output: int
-
-    def __init__(self, alphabet, structure, init, env_support, rules, output):
-        self.alphabet = frozenset(alphabet)
-        self.structure = structure
-        self.init = {label: ms for label, ms in dict(init).items() if ms}
-        self.env_support = frozenset(env_support)
-        self.rules = tuple(rules)
-        self.output = output
-
-    def initial_contents(self, label: int) -> Multiset:
-        return self.init.get(label, Multiset())
 
     def __eq__(self, other: object) -> bool:
         # Rule order carries no meaning, so compare rules as a multiset.
@@ -263,24 +269,13 @@ class CellPSystem:
 
 
 @dataclass
-class TissuePSystem:
+class TissuePSystem(_System):
     alphabet: frozenset[str]
     n_cells: int
     init: dict[int, Multiset]
     env_support: frozenset[str]
     rules: tuple[TissueRule, ...]
     output: int
-
-    def __init__(self, alphabet, n_cells, init, env_support, rules, output):
-        self.alphabet = frozenset(alphabet)
-        self.n_cells = n_cells
-        self.init = {cell: ms for cell, ms in dict(init).items() if ms}
-        self.env_support = frozenset(env_support)
-        self.rules = tuple(rules)
-        self.output = output
-
-    def initial_contents(self, cell: int) -> Multiset:
-        return self.init.get(cell, Multiset())
 
     def __eq__(self, other: object) -> bool:
         # Rule order carries no meaning, so compare rules as a multiset.
@@ -298,7 +293,7 @@ class TissuePSystem:
 
 
 @dataclass
-class InteractionSystem:
+class InteractionSystem(_System):
     """Tissue-style system whose rules are interaction and uniport rules."""
 
     alphabet: frozenset[str]
@@ -307,17 +302,6 @@ class InteractionSystem:
     env_support: frozenset[str]
     rules: tuple[Union[InteractionRule, UniportRule], ...]
     output: int
-
-    def __init__(self, alphabet, n_cells, init, env_support, rules, output):
-        self.alphabet = frozenset(alphabet)
-        self.n_cells = n_cells
-        self.init = {cell: ms for cell, ms in dict(init).items() if ms}
-        self.env_support = frozenset(env_support)
-        self.rules = tuple(rules)
-        self.output = output
-
-    def initial_contents(self, cell: int) -> Multiset:
-        return self.init.get(cell, Multiset())
 
 
 PSystem = Union[CellPSystem, TissuePSystem, InteractionSystem]
@@ -455,7 +439,12 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def validate_tissue(sys: TissuePSystem) -> ValidationReport:
+def _validate_cells(sys, check_rule) -> ValidationReport:
+    """Checks shared by tissue and interaction systems around `check_rule`.
+
+    Names, the cell count and init come first, then every rule through
+    check_rule(idx, rule, nodes, out), then the output cell.
+    """
     out: list[Violation] = []
     _check_names(sys.alphabet, sys.env_support, out)
     if sys.n_cells < 1:
@@ -466,6 +455,16 @@ def validate_tissue(sys: TissuePSystem) -> ValidationReport:
     _check_init(sys.init, cells, sys.alphabet, out)
     nodes = cells | {0}
     for idx, rule in enumerate(sys.rules):
+        check_rule(idx, rule, nodes, out)
+    if sys.output not in cells:
+        out.append(
+            Violation(OUTPUT_OUT_OF_RANGE, "output", f"no cell {sys.output}")
+        )
+    return ValidationReport(tuple(out))
+
+
+def validate_tissue(sys: TissuePSystem) -> ValidationReport:
+    def check_rule(idx, rule, nodes, out):
         where = f"rule {idx + 1} {tissue_rule_text(rule)}"
         for node in (rule.src, rule.dst):
             if node not in nodes:
@@ -499,24 +498,12 @@ def validate_tissue(sys: TissuePSystem) -> ValidationReport:
                     "unlimited supply",
                 )
             )
-    if sys.output not in cells:
-        out.append(
-            Violation(OUTPUT_OUT_OF_RANGE, "output", f"no cell {sys.output}")
-        )
-    return ValidationReport(tuple(out))
+
+    return _validate_cells(sys, check_rule)
 
 
 def validate_interaction(sys: InteractionSystem) -> ValidationReport:
-    out: list[Violation] = []
-    _check_names(sys.alphabet, sys.env_support, out)
-    if sys.n_cells < 1:
-        out.append(
-            Violation(BAD_STRUCTURE, "cells", f"cell count must be positive, got {sys.n_cells}")
-        )
-    cells = set(range(1, sys.n_cells + 1))
-    _check_init(sys.init, cells, sys.alphabet, out)
-    nodes = cells | {0}
-    for idx, rule in enumerate(sys.rules):
+    def check_rule(idx, rule, nodes, out):
         where = f"rule {idx + 1} {interaction_rule_text(rule)}"
         if isinstance(rule, UniportRule):
             positions = (rule.src, rule.dst)
@@ -554,11 +541,8 @@ def validate_interaction(sys: InteractionSystem) -> ValidationReport:
             out.append(
                 Violation(INERT_RULE, where, "rule moves nothing", severity="warning")
             )
-    if sys.output not in cells:
-        out.append(
-            Violation(OUTPUT_OUT_OF_RANGE, "output", f"no cell {sys.output}")
-        )
-    return ValidationReport(tuple(out))
+
+    return _validate_cells(sys, check_rule)
 
 
 def validate(sys: PSystem) -> ValidationReport:

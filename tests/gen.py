@@ -192,3 +192,56 @@ def random_system(rng: random.Random, **kw):
     if pick < 0.9:
         return random_tissue_system(rng, **kw)
     return random_interaction_system(rng, **kw)
+
+
+def random_shared_system(rng: random.Random, max_rules=4):
+    """Cell or tissue system whose rules compete for the same one or two objects.
+
+    Every rule needs at least one object two or three times over, and the
+    regions start with up to eight copies of each, so several rules draw
+    on one pool at multiplicities above 1: the case where an enumerator
+    that takes and gives back resources in place can miscount.
+    """
+    names = ["o1", "o2"]
+    env = {"o2"} if rng.random() < 0.5 else set()
+
+    def need() -> Multiset:
+        counts = {rng.choice(names): rng.randint(2, 3)}
+        if rng.random() < 0.4:
+            other = rng.choice(names)
+            counts[other] = counts.get(other, 0) + 1
+        return Multiset(counts)
+
+    def bounded(objects: Multiset) -> Multiset:
+        # A draw from outside that names only unlimited objects is invalid.
+        return objects if set(objects.support()) - env else objects + Multiset({"o1": 1})
+
+    n = rng.randint(1, 2)
+    init = {
+        label: Multiset({"o1": rng.randint(0, 8), "o2": rng.randint(0, 8)})
+        for label in range(1, n + 1)
+    }
+    rules = []
+    if rng.random() < 0.5:
+        structure = MembraneStructure(n, {2: 1} if n == 2 else {})
+        for _ in range(rng.randint(2, max_rules)):
+            region = rng.randint(1, n)
+            pick = rng.random()
+            if pick < 0.3:
+                objects = need()
+                if region == structure.skin:
+                    objects = bounded(objects)
+                rules.append(CellRule(region, SymportIn(objects)))
+            elif pick < 0.6:
+                rules.append(CellRule(region, SymportOut(need())))
+            else:
+                rules.append(CellRule(region, CellAntiport(need(), need())))
+        return CellPSystem(names, structure, init, env, rules, rng.choice(structure.leaves()))
+    for _ in range(rng.randint(2, max_rules)):
+        src, dst = rng.sample(range(0, n + 1), 2)
+        if rng.random() < 0.5:
+            objects = need()
+            rules.append(TissueSymport(src, bounded(objects) if src == 0 else objects, dst))
+        else:
+            rules.append(TissueAntiport(src, need(), need(), dst))
+    return TissuePSystem(names, n, init, env, rules, rng.randint(1, n))

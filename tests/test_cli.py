@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -239,6 +240,13 @@ def test_compile_rm_rejects_broken_machine(tmp_path, capsys):
     assert "register" in err
 
 
+def test_compile_rm_unwritable_output_exits_one(tmp_path, capsys):
+    source = put(tmp_path, "m.rm", MACHINE)
+    code, out, err = invoke(capsys, "compile-rm", source, "-o", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}:") and err.count("\n") == 1
+
+
 def test_rm_verify_agrees(tmp_path, capsys):
     path = put(tmp_path, "m.rm", MACHINE)
     code, out, _ = invoke(capsys, "rm-verify", path, "--bound", "4")
@@ -246,6 +254,93 @@ def test_rm_verify_agrees(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["machine_results"] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "flag", ["--max-depth", "--max-objects", "--max-branches", "--max-configs"]
+)
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_explore_budgets_below_one_exit_one(tmp_path, capsys, flag, value):
+    path = put(tmp_path, "s.psys", TWO_BRANCH)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["explore", path, flag, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1, got {value}" in err
+    assert "Traceback" not in err
+
+
+def test_rm_verify_bound_must_not_be_negative(tmp_path, capsys):
+    path = put(tmp_path, "m.rm", MACHINE)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rm-verify", path, "--bound", "-3"])
+    assert exc.value.code == 1
+    assert "argument --bound: must be at least 0, got -3" in capsys.readouterr().err
+    code, out, _ = invoke(capsys, "rm-verify", path, "--bound", "0")
+    assert code == 0 and json.loads(out)["bound"] == 0
+
+
+def test_run_max_steps_must_not_be_negative(tmp_path, capsys):
+    path = put(tmp_path, "s.psys", DRAIN)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", path, "--max-steps", "-1"])
+    assert exc.value.code == 1
+    assert "argument --max-steps: must be at least 0, got -1" in capsys.readouterr().err
+    code, out, _ = invoke(capsys, "run", path, "--max-steps", "0")
+    assert code == 3 and json.loads(out.splitlines()[-1]) == {"halted": False, "steps": 0}
+
+
+def test_argv_fuzz_maps_every_input_to_an_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # compile-rm -o writes relative paths here
+    files = [
+        put(tmp_path, "t.psys", TWO_BRANCH),
+        put(tmp_path, "p.psys", PERPETUAL),
+        put(tmp_path, "m.rm", MACHINE),
+        put(tmp_path, "r.irules", "(a,1)(b,2) -> (a,2)(b,1)\n"),
+        put(tmp_path, "bad.psys", VALID.replace("@rules 1: (a, out; a, in)", "@rules 1: (a, in)")),
+        put(tmp_path, "junk.txt", "@model ???\n"),
+        str(tmp_path / "missing.psys"),
+        str(tmp_path),
+    ]
+    # Mostly flags the command knows, so that runs get past argument parsing.
+    flags = {
+        "validate": ["--pretty"],
+        "run": ["--seed", "--max-steps", "--policy", "--accept", "--region"],
+        "explore": ["--max-depth", "--max-objects", "--max-branches", "--max-configs", "--pretty"],
+        "profile": ["--pretty"],
+        "classify": ["--pretty"],
+        "compile-rm": ["-o"],
+        "rm-verify": ["--bound", "--pretty"],
+        "frobnicate": ["--help"],
+    }
+    anywhere = sorted({flag for known in flags.values() for flag in known})
+    values = [
+        "0", "1", "3", "-3", "x", "", "2.5", "a", "a b", "a^0", "empty", "greedy-random",
+        "out.psys",
+    ]
+    values += files
+    rng = random.Random(5150)
+    codes = []
+    for _ in range(300):
+        command = rng.choice(sorted(flags))
+        argv = [command] if rng.random() < 0.95 else []
+        argv += [rng.choice(files)] if rng.random() < 0.9 else []
+        for _ in range(rng.randint(0, 4)):
+            flag = rng.choice(flags[command] if rng.random() < 0.8 else anywhere)
+            argv.append(flag)
+            if flag not in ("--pretty", "--help") or rng.random() < 0.1:
+                argv.append(rng.choice(values))
+        if rng.random() < 0.2:
+            rng.shuffle(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3, 4), argv
+        assert "Traceback" not in err, argv
+        codes.append(code)
+    assert {0, 1, 2, 3} <= set(codes)
 
 
 def test_seeded_runs_are_byte_identical(tmp_path):

@@ -363,6 +363,22 @@ def test_accepting_leaves_declared_init_in_place():
     assert trace.final.regions[1] == ms("a b")
 
 
+def test_accepting_rejects_an_unknown_input_region():
+    eng = Engine(perpetual())
+    with pytest.raises(ValueError, match="no region labeled 7"):
+        eng.run_accepting(ms("a"), 7, seed=0, max_steps=10)
+    with pytest.raises(ValueError, match="no region labeled None"):
+        eng.initial(ms("a"))
+
+
+def test_initial_adds_input_to_the_declared_contents():
+    eng = Engine(cell([], init={1: "a", 2: "empty"}, n=2, parent={2: 1}, output=2))
+    assert eng.initial() == eng.initial(Multiset(), 2)
+    seeded = eng.initial(ms("a b"), 1)
+    assert seeded.regions == {1: ms("a^2 b"), 2: Multiset()}
+    assert seeded.env == eng.initial().env
+
+
 # ---------------------------------------------------------------- properties
 
 

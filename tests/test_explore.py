@@ -141,6 +141,14 @@ def test_accept_sees_declared_init_too():
     assert decide_accept(sys, ms("c"), 1) == "accepted"
 
 
+def test_accept_rejects_an_unknown_input_region():
+    sys = flat([], "empty")
+    with pytest.raises(ValueError, match="no region labeled 7"):
+        decide_accept(sys, ms("a"), 7)
+    with pytest.raises(ValueError, match="no region labeled 0"):
+        decide_accept(sys, Multiset(), 0)
+
+
 # ---------------------------------------------------------------- determinism
 
 
