@@ -94,12 +94,7 @@ def _validated_system(path: str):
 
 
 def cmd_validate(args) -> int:
-    sys_, diags = dsl.parse_system(_read_text(args.file))
-    if sys_ is None:
-        for diag in diags:
-            print(f"{args.file}:{diag}", file=sys.stderr)
-        return EXIT_USAGE
-    report = validate(sys_)
+    report = validate(_load_system(args.file))
     if args.pretty:
         print(str(report))
     else:
@@ -125,6 +120,9 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     sys_ = _validated_system(args.file)
     engine = Engine(sys_)
+    if args.region is not None and args.accept is None:
+        print("error: --region requires --accept", file=sys.stderr)
+        return EXIT_USAGE
     if args.accept is not None:
         if args.region is None:
             print("error: --accept requires --region", file=sys.stderr)

@@ -336,21 +336,11 @@ def _parse_system_inner(text: str, out: _Collector):
                 )
             else:
                 model = word
-        elif name == "objects":
+        elif name in ("objects", "env"):
+            names = objects if name == "objects" else env
             for tok in re.finditer(r"\S+", payload):
                 if is_valid_name(tok.group()):
-                    objects.append(tok.group())
-                else:
-                    out.add(
-                        line,
-                        payload_col + tok.start(),
-                        BAD_PAYLOAD,
-                        f"invalid object name {tok.group()!r}",
-                    )
-        elif name == "env":
-            for tok in re.finditer(r"\S+", payload):
-                if is_valid_name(tok.group()):
-                    env.append(tok.group())
+                    names.append(tok.group())
                 else:
                     out.add(
                         line,

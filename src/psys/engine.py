@@ -29,7 +29,7 @@ from .model import (
     interaction_rule_text,
     tissue_rule_text,
 )
-from .multiset import EMPTY, EnvContent, Multiset
+from .multiset import EMPTY, EnvContent, Multiset, MultisetUnderflow
 
 
 class UnboundedStepError(Exception):
@@ -187,9 +187,20 @@ def normalize_rules(sys: PSystem) -> tuple[TransferRule, ...]:
 
 # Resource accounting works on residual pools: one name -> count dict per
 # node, node 0 holding the finite environment remainder. A rule's need
-# lists (node, name, count) for every finitely-tracked object it consumes.
+# lists (node, name, count) for every finitely-tracked object it consumes,
+# and its gives the same for what it produces.
 _Pools = dict[int, dict[str, int]]
 _Need = tuple[tuple[int, str, int], ...]
+
+
+def _tracked(parts: tuple[tuple[int, Multiset], ...], unlimited: frozenset[str]) -> _Need:
+    """(node, name, count) for every object of `parts` outside the unlimited supply."""
+    return tuple([
+        (node, name, count)
+        for node, ms in parts
+        for name, count in ms.items()
+        if node or name not in unlimited
+    ])
 
 
 def _pools(c: Configuration) -> _Pools:
@@ -234,15 +245,8 @@ class Engine:
         self.rules = normalize_rules(sys)
         self.output = sys.output
         unlimited = sys.env_support
-        self._needs: list[_Need] = [
-            tuple([
-                (node, name, count)
-                for node, ms in rule.consume
-                for name, count in ms.items()
-                if node or name not in unlimited
-            ])
-            for rule in self.rules
-        ]
+        self._needs = [_tracked(rule.consume, unlimited) for rule in self.rules]
+        self._gives = [_tracked(rule.produce, unlimited) for rule in self.rules]
 
     def initial(
         self, input_objects: Multiset = EMPTY, input_region: Optional[int] = None
@@ -339,23 +343,27 @@ class Engine:
         An inapplicable choice surfaces as a multiset underflow, which
         indicates a defect in the caller, not bad user input.
         """
-        consumed: dict[int, Multiset] = {}
-        produced: dict[int, Multiset] = {}
+        pools = _pools(c)
+        touched = set()
         for index, m in choice.applications:
-            rule = self.rules[index]
-            for node, ms in rule.consume:
-                consumed[node] = consumed.get(node, EMPTY) + ms.scale(m)
-            for node, ms in rule.produce:
-                produced[node] = produced.get(node, EMPTY) + ms.scale(m)
+            need = self._needs[index]
+            _take(need, pools, m)
+            for node, name, _ in need:
+                if pools[node][name] < 0:
+                    raise MultisetUnderflow(
+                        f"step {choice.applications} takes more {name} than node {node} holds"
+                    )
+                touched.add(node)
+        for index, m in choice.applications:
+            _take(self._gives[index], pools, -m)
+            touched.update(node for node, _, _ in self._gives[index])
         regions = dict(c.regions)
-        for node, ms in consumed.items():
-            if node != 0:
-                regions[node] = regions[node] - ms
-        env = c.env.take(consumed.get(0, EMPTY))
-        for node, ms in produced.items():
-            if node != 0:
-                regions[node] = regions[node] + ms
-        env = env.give(produced.get(0, EMPTY))
+        env = c.env
+        for node in touched:
+            if node:
+                regions[node] = Multiset(pools[node])
+            else:
+                env = EnvContent(env.infinite, Multiset(pools[0]))
         return Configuration(regions, env)
 
     def run(
@@ -384,19 +392,21 @@ class Engine:
         c = start
         trace = Trace(c)
         for _ in range(max_steps):
-            if self.is_halted(c):
-                trace.halted = True
-                return trace
             note = None
             if policy == "enumerate-uniform":
                 steps, complete = self.maximal_steps(c, cap)
-                if complete:
+                if not steps:
+                    choice = StepChoice(())
+                elif complete:
                     choice = steps[rng.randrange(len(steps))]
                 else:
                     choice = self._greedy_step(c, rng)
                     note = "greedy-random fallback: maximal-step listing overflowed"
             else:
                 choice = self._greedy_step(c, rng)
+            if not choice.applications:
+                trace.halted = True
+                return trace
             c = self.apply(c, choice)
             trace.steps.append(TraceStep(choice, c, note))
         trace.halted = self.is_halted(c)

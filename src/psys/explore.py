@@ -69,6 +69,11 @@ class ExploreOutcome:
 EdgeHook = Callable[[Configuration, StepChoice, Configuration], None]
 
 
+def _engine(sys) -> Engine:
+    """The engine of a system; an Engine passes through as it is."""
+    return sys if isinstance(sys, Engine) else Engine(sys)
+
+
 def explore(
     sys,
     budget: ExploreBudget = ExploreBudget(),
@@ -81,7 +86,7 @@ def explore(
     `on_edge` is an instrumentation hook for property harnesses; it sees
     every generated (configuration, step, successor) edge once.
     """
-    engine = sys if isinstance(sys, Engine) else Engine(sys)
+    engine = _engine(sys)
     return _walk(engine, engine.initial() if start is None else start, budget, on_edge)[0]
 
 
@@ -153,7 +158,7 @@ def decide_accept(
     halting configuration, which proves every computation is infinite.
     Raises ValueError for an input region the system does not have.
     """
-    engine = Engine(sys)
+    engine = _engine(sys)
     outcome = explore(engine, budget, start=engine.initial(input_objects, input_region))
     if outcome.halting_leaves > 0:
         return "accepted"
@@ -176,7 +181,7 @@ def check_deterministic(
     The walk stops before it could follow more than one step anywhere, so
     it visits exactly the configurations of the single computation.
     """
-    engine = sys if isinstance(sys, Engine) else Engine(sys)
+    engine = _engine(sys)
     outcome, witness = _walk(engine, engine.initial(), budget, stop_at_branching=True)
     if witness is not None:
         return DeterminismVerdict("nondeterministic", witness)

@@ -91,36 +91,22 @@ def profile(sys: Union[CellPSystem, TissuePSystem]) -> ComplexityProfile:
 
     Sizes come out 0 when no rule of the corresponding kind exists.
     """
-    sym = 0
-    anti = 0
-    if isinstance(sys, CellPSystem):
-        for rule in sys.rules:
-            if isinstance(rule.form, (SymportIn, SymportOut)):
-                sym = max(sym, cell_rule_size(rule))
-            else:
-                anti = max(anti, cell_rule_size(rule))
-        return ComplexityProfile(
-            kind="cell",
-            degree=sys.structure.n,
-            max_symport_size=sym,
-            max_antiport_size=anti,
-            num_objects=len(sys.alphabet),
-            num_rules=len(sys.rules),
-            antiport_measure="max",
-        )
+    cell = isinstance(sys, CellPSystem)
+    size = cell_rule_size if cell else tissue_rule_size
+    sym = anti = 0
     for rule in sys.rules:
-        if isinstance(rule, TissueSymport):
-            sym = max(sym, tissue_rule_size(rule))
+        if isinstance(rule.form if cell else rule, (SymportIn, SymportOut, TissueSymport)):
+            sym = max(sym, size(rule))
         else:
-            anti = max(anti, tissue_rule_size(rule))
+            anti = max(anti, size(rule))
     return ComplexityProfile(
-        kind="tissue",
-        degree=sys.n_cells,
+        kind="cell" if cell else "tissue",
+        degree=sys.structure.n if cell else sys.n_cells,
         max_symport_size=sym,
         max_antiport_size=anti,
         num_objects=len(sys.alphabet),
         num_rules=len(sys.rules),
-        antiport_measure="sum",
+        antiport_measure="max" if cell else "sum",
     )
 
 

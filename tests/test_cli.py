@@ -161,6 +161,12 @@ def test_run_accept_usage_errors(tmp_path, capsys):
     assert code == 1 and "region" in err
 
 
+def test_run_region_without_accept_exits_one(tmp_path, capsys):
+    code, out, err = invoke(capsys, "run", put(tmp_path, "s.psys", DRAIN), "--region", "5")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: --region requires --accept"]
+
+
 def test_explore_two_branches(tmp_path, capsys):
     code, out, _ = invoke(capsys, "explore", put(tmp_path, "s.psys", TWO_BRANCH))
     assert code == 0

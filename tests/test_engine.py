@@ -23,10 +23,10 @@ from psys.model import (
     encode_cell_as_tissue,
     validate,
 )
-from psys.multiset import EnvContent, Multiset, parse_multiset
+from psys.multiset import EnvContent, Multiset, MultisetUnderflow, parse_multiset
 
 from gen import random_cell_system, random_system
-from oracles import maximal_steps_oracle, state_of
+from oracles import apply_oracle, maximal_steps_oracle, state_of
 
 
 def ms(text):
@@ -167,6 +167,17 @@ def test_apply_empty_choice_is_identity_on_halted():
     eng = Engine(cell([], init="a^2"))
     c = eng.initial()
     assert eng.apply(c, StepChoice(())) == c
+
+
+def test_apply_of_a_choice_that_does_not_fit_underflows():
+    eng = Engine(cell([CellRule(1, SymportOut(ms("a"))), CellRule(1, SymportIn(ms("a")))]))
+    c = eng.initial()
+    with pytest.raises(MultisetUnderflow):
+        eng.apply(c, StepChoice(((0, 2),)))
+    # The a sent out this step cannot pay for the a taken in: products come
+    # after every consumption, so the empty environment remainder underflows.
+    with pytest.raises(MultisetUnderflow):
+        eng.apply(c, StepChoice(((0, 1), (1, 1))))
 
 
 def test_apply_is_deterministic():
@@ -428,6 +439,9 @@ def test_maximal_steps_agree_with_brute_force_oracle():
             got, complete = eng.maximal_steps(c, cap=5_000)
             assert complete
             assert choice_set(got) == expected, sys
+            for step in got:
+                after = apply_oracle(sys, regions, env_finite, step.applications)
+                assert state_of(sys, eng.apply(c, step)) == after, (sys, step)
             if not got:
                 break
             c = eng.apply(c, rng.choice(got))

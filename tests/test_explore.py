@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from psys.engine import Engine
 from psys.explore import (
     DeterminismVerdict,
     ExploreBudget,
@@ -139,6 +140,11 @@ def test_accept_sees_declared_init_too():
     # The declared contents alone already halt; adding input keeps it so.
     sys = flat([SymportOut(ms("a b"))], "a", alphabet=("a", "b", "c"))
     assert decide_accept(sys, ms("c"), 1) == "accepted"
+
+
+def test_accept_takes_an_engine_like_explore_does():
+    sys = flat([SymportOut(ms("a"))], "empty")
+    assert decide_accept(Engine(sys), ms("a"), 1) == decide_accept(sys, ms("a"), 1) == "accepted"
 
 
 def test_accept_rejects_an_unknown_input_region():

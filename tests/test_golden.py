@@ -14,7 +14,7 @@ from psys import cli
 from psys.engine import Engine
 
 from gen import random_shared_system, random_system
-from oracles import maximal_steps_oracle, state_of
+from oracles import apply_oracle, maximal_steps_oracle, state_of
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -113,6 +113,9 @@ def test_shared_object_systems_match_the_oracle():
             assert complete
             assert choice_set(got) == expected, sys
             assert len(set(got)) == len(got)
+            for step in got:
+                after = apply_oracle(sys, regions, env_finite, step.applications)
+                assert state_of(sys, eng.apply(c, step)) == after, (sys, step)
             compared += 1
             multi += any(m > 1 for step in got for _, m in step.applications)
             if not got:
