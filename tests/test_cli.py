@@ -151,6 +151,17 @@ def test_run_accepting_mode(tmp_path, capsys):
     assert json.loads(out.strip().split("\n")[-1]) == {"accept": "budget_exhausted"}
 
 
+
+def test_run_accepting_mode_keeps_objects_outside_the_alphabet(tmp_path, capsys):
+    path = put(tmp_path, "s.psys", DRAIN)
+    code, out, err = invoke(capsys, "run", path, "--accept", "zzz^2", "--region", "1")
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[0]["regions"] == {"1": {"a": 2, "zzz": 2}}
+    assert records[-3]["regions"] == {"1": {"zzz": 2}}
+    assert records[-2] == {"halted": True, "steps": 1, "result": 2}
+    assert records[-1] == {"accept": "accepted"}
+
 def test_run_accept_usage_errors(tmp_path, capsys):
     path = put(tmp_path, "s.psys", DRAIN)
     code, _, err = invoke(capsys, "run", path, "--accept", "a")

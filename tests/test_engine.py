@@ -11,6 +11,7 @@ from psys.engine import (
     normalize_rules,
     trace_to_lines,
 )
+from psys.explore import explore
 from psys.model import (
     CellAntiport,
     CellPSystem,
@@ -522,3 +523,37 @@ def test_configuration_equality_and_hash():
     b = Configuration({1: ms("a")}, EnvContent({"e"}, ms("b")))
     assert a == b and hash(a) == hash(b)
     assert a.total_inside == 1 and a.total_tracked == 2
+
+
+def test_configuration_contract_holds_across_construction_routes():
+    sys = cell(
+        [
+            CellRule(1, SymportOut(ms("a"))),
+            CellRule(1, SymportIn(ms("a"))),
+            CellRule(2, SymportIn(ms("a"))),
+            CellRule(2, SymportOut(ms("a"))),
+            CellRule(1, CellAntiport(ms("c"), ms("b"))),
+            CellRule(1, SymportOut(ms("b"))),
+        ],
+        init={1: "a^2 c", 2: "empty"},
+        env=("b",),
+        output=2,
+        n=2,
+        parent={2: 1},
+    )
+    eng = Engine(sys)
+    walk = list(eng.run(seed=3, max_steps=12).configurations())
+    walk.append(eng.initial(ms("zzz c"), 2))
+    for c in walk:
+        rebuilt = Configuration(c.regions, c.env)
+        assert c == rebuilt and rebuilt == c and hash(c) == hash(rebuilt)
+        assert len({c, rebuilt}) == 1
+        assert (c.total_inside, c.total_tracked) == (rebuilt.total_inside, rebuilt.total_tracked)
+    distinct = set(walk) | {Configuration(c.regions, c.env) for c in walk}
+    assert len(distinct) == len({repr(c) for c in walk})
+    for c in walk:
+        for other in walk:
+            assert (c == other) == (repr(c) == repr(other))
+    start = eng.initial()
+    user_built = Configuration(start.regions, start.env)
+    assert explore(eng, start=user_built) == explore(eng)

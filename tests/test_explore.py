@@ -155,6 +155,17 @@ def test_accept_rejects_an_unknown_input_region():
         decide_accept(sys, Multiset(), 0)
 
 
+
+def test_input_objects_outside_the_alphabet_stay_inert_and_counted():
+    # No rule and no alphabet entry names zzz: it sits in region 1 and is counted.
+    e = Engine(flat([SymportOut(ms("a"))], "a^2", alphabet=("a",)))
+    assert decide_accept(e, parse_multiset("zzz^2"), 1) == "accepted"
+    outcome = explore(e, start=e.initial(ms("zzz^2"), 1))
+    assert outcome.results == frozenset({2}) and outcome.exhausted
+    status, trace = e.run_accepting(ms("zzz^2"), 1)
+    assert status == "accepted"
+    assert trace.final.regions == {1: ms("zzz^2")}
+
 # ---------------------------------------------------------------- determinism
 
 
