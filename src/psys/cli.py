@@ -14,6 +14,7 @@ line formats); diagnostics and violations go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -248,7 +249,9 @@ def cmd_rm_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The psys argument parser, built once per process."""
     parser = _Parser(
         prog="psys",
         description="Simulate, explore and analyze symport/antiport P systems.",

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from itertools import compress
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .model import (
     CellPSystem,
@@ -40,40 +43,131 @@ class UnboundedStepError(Exception):
     """
 
 
-class Configuration:
-    """Immutable snapshot: one multiset per region plus the environment."""
+def _ordered(pairs: Iterable[tuple[int, str]]) -> tuple[tuple[int, str], ...]:
+    """Slot order: regions first in label order, then the environment (node 0); names sorted."""
+    ordered = sorted(pairs)
+    env = bisect_left(ordered, (1,))
+    return tuple(ordered[env:] + ordered[:env])
 
-    __slots__ = ("regions", "env", "_hash")
+
+class _Layout:
+    """Integer slots for the tracked objects of one set of configurations.
+
+    A slot is a (node, name) pair, node 0 being the environment's finite
+    remainder. An engine lays out every pair its initial contents and its
+    rules name, in `_ordered` order. Input objects outside that layout get
+    slots appended to a copy of it, whose `base` is the engine's layout,
+    so every slot index of the engine's rules stays valid.
+    """
+
+    __slots__ = ("slots", "index", "labels", "infinite", "nodes", "base")
+
+    def __init__(
+        self,
+        slots: tuple[tuple[int, str], ...],
+        labels: tuple[int, ...],
+        infinite: frozenset[str],
+        base: Optional["_Layout"] = None,
+    ):
+        self.slots = slots
+        self.index = {pair: i for i, pair in enumerate(slots)}
+        self.labels = labels
+        self.infinite = infinite
+        self.base = base or self
+        # node -> [(slot, name), ...] in name order, appended slots included.
+        self.nodes: dict[int, list[tuple[int, str]]] = {node: [] for node in (*labels, 0)}
+        for i, (node, name) in enumerate(slots):
+            self.nodes[node].append((i, name))
+        if base is not None:
+            for entries in self.nodes.values():
+                entries.sort(key=itemgetter(1))
+
+    def contents(self, counts: tuple[int, ...], node: int) -> dict[str, int]:
+        """Name -> count of the objects at `node`, in name order."""
+        return {name: counts[i] for i, name in self.nodes[node] if counts[i]}
+
+
+class Configuration:
+    """Immutable snapshot: one multiset per region plus the environment.
+
+    Held as a count per slot of a layout; `regions` and `env` build their
+    multisets on each access. Equality and hashing go by value, so an
+    engine's configuration and `Configuration(regions, env)` of the same
+    contents are equal, hash alike and dedupe in a set.
+    """
+
+    __slots__ = ("_layout", "_counts", "_hash")
 
     def __init__(self, regions: Mapping[int, Multiset], env: EnvContent):
-        object.__setattr__(self, "regions", dict(regions))
-        object.__setattr__(self, "env", env)
+        entries = {(label, name): k for label, ms in regions.items() for name, k in ms.items()}
+        entries.update(((0, name), k) for name, k in env.finite.items())
+        slots = _ordered(entries)
+        layout = _Layout(slots, tuple(regions), env.infinite)
+        self._set(layout, tuple([entries[pair] for pair in slots]))
+
+    @classmethod
+    def _of(cls, layout: _Layout, counts: tuple[int, ...]) -> "Configuration":
+        c = object.__new__(cls)
+        c._set(layout, counts)
+        return c
+
+    def _set(self, layout: _Layout, counts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
 
+    @property
+    def regions(self) -> dict[int, Multiset]:
+        layout, counts = self._layout, self._counts
+        return {label: Multiset(layout.contents(counts, label)) for label in layout.labels}
+
+    @property
+    def env(self) -> EnvContent:
+        layout = self._layout
+        return EnvContent(layout.infinite, Multiset(layout.contents(self._counts, 0)))
+
     def region(self, label: int) -> Multiset:
         return self.regions[label]
 
+    def region_size(self, label: int) -> int:
+        """Number of objects in region `label`, without building its multiset."""
+        if label not in self._layout.labels:
+            raise KeyError(label)
+        counts = self._counts
+        return sum([counts[i] for i, _ in self._layout.nodes[label]])
+
     @property
     def total_inside(self) -> int:
-        return sum(ms.size for ms in self.regions.values())
+        return sum(self.region_size(label) for label in self._layout.labels)
 
     @property
     def total_tracked(self) -> int:
         """All finitely-tracked objects: every region plus the env remainder."""
-        return self.total_inside + self.env.finite.size
+        return sum(self._counts)
+
+    def _held(self) -> Iterator[tuple[tuple[int, str], int]]:
+        """((node, name), count) for every object held, whatever the layout."""
+        counts = self._counts
+        return compress(zip(self._layout.slots, counts), counts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self.regions == other.regions and self.env == other.env
+        mine, theirs = self._layout, other._layout
+        if mine is theirs:
+            return self._counts == other._counts
+        return (
+            set(mine.labels) == set(theirs.labels)
+            and mine.infinite == theirs.infinite
+            and dict(self._held()) == dict(other._held())
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            key = (tuple(sorted(self.regions.items())), self.env)
-            object.__setattr__(self, "_hash", hash(key))
+            object.__setattr__(self, "_hash", hash(frozenset(self._held())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -185,45 +279,37 @@ def normalize_rules(sys: PSystem) -> tuple[TransferRule, ...]:
     return tuple(out)
 
 
-# Resource accounting works on residual pools: one name -> count dict per
-# node, node 0 holding the finite environment remainder. A rule's need
-# lists (node, name, count) for every finitely-tracked object it consumes,
-# and its gives the same for what it produces.
-_Pools = dict[int, dict[str, int]]
-_Need = tuple[tuple[int, str, int], ...]
+# Resource accounting works on residual pools: a list of counts, one per
+# slot of the configuration's layout. A rule's need lists (slot, count) for
+# every finitely-tracked object it consumes, and its gives the same for what
+# it produces; objects in the unlimited supply have no slot at node 0.
+_Need = tuple[tuple[int, int], ...]
 
 
-def _tracked(parts: tuple[tuple[int, Multiset], ...], unlimited: frozenset[str]) -> _Need:
-    """(node, name, count) for every object of `parts` outside the unlimited supply."""
+def _tracked(parts: tuple[tuple[int, Multiset], ...], index: dict) -> _Need:
+    """(slot, count) for every object of `parts` that has a slot in `index`."""
     return tuple([
-        (node, name, count)
+        (index[node, name], count)
         for node, ms in parts
         for name, count in ms.items()
-        if node or name not in unlimited
+        if (node, name) in index
     ])
 
 
-def _pools(c: Configuration) -> _Pools:
-    pools = {node: dict(ms.items()) for node, ms in c.regions.items()}
-    pools[0] = dict(c.env.finite.items())
-    return pools
-
-
-def _bound(need: _Need, pools: _Pools) -> Optional[int]:
+def _bound(need: _Need, pools) -> Optional[int]:
     """How many more applications fit into the pools; None if unbounded."""
     bound = None
-    for node, name, count in need:
-        fits = pools[node].get(name, 0) // count
+    for slot, count in need:
+        fits = pools[slot] // count
         if bound is None or fits < bound:
             bound = fits
     return bound
 
 
-def _take(need: _Need, pools: _Pools, m: int) -> None:
+def _take(need: _Need, pools: list[int], m: int) -> None:
     """Remove `m` applications' worth of `need` in place; negative `m` gives back."""
-    for node, name, count in need:
-        pool = pools[node]
-        pool[name] = pool.get(name, 0) - m * count
+    for slot, count in need:
+        pools[slot] -= m * count
 
 
 def _unbounded(rule: TransferRule) -> UnboundedStepError:
@@ -233,9 +319,10 @@ def _unbounded(rule: TransferRule) -> UnboundedStepError:
 class Engine:
     """Transition function of one system.
 
-    Instances are cheap and stateless beyond the normalized rules and
-    their needs; all methods are pure functions of the configuration they
-    receive, which draws on the system's unlimited supply.
+    Instances are cheap and stateless beyond the normalized rules, the
+    slot layout and the rules' needs and gives over it; all methods are
+    pure functions of the configuration they receive, which draws on the
+    system's unlimited supply.
     """
 
     def __init__(self, sys: PSystem):
@@ -244,9 +331,27 @@ class Engine:
         self.labels = sys.structure.labels if cell else range(1, sys.n_cells + 1)
         self.rules = normalize_rules(sys)
         self.output = sys.output
-        unlimited = sys.env_support
-        self._needs = [_tracked(rule.consume, unlimited) for rule in self.rules]
-        self._gives = [_tracked(rule.produce, unlimited) for rule in self.rules]
+        unlimited = frozenset(sys.env_support)
+        start = {
+            (label, name): count
+            for label in self.labels
+            for name, count in sys.initial_contents(label).items()
+        }
+        # Every pair the rules or the initial contents name, except the
+        # unlimited supply, which is neither tracked nor consumed.
+        pairs = {
+            (node, name)
+            for rule in self.rules
+            for node, ms in rule.consume + rule.produce
+            for name, _ in ms.items()
+        }
+        pairs.update(start)
+        pairs.difference_update([(0, name) for name in unlimited])
+        slots = _ordered(pairs)
+        self._layout = layout = _Layout(slots, tuple(self.labels), unlimited)
+        self._needs = [_tracked(rule.consume, layout.index) for rule in self.rules]
+        self._gives = [_tracked(rule.produce, layout.index) for rule in self.rules]
+        self._start = tuple([start.get(pair, 0) for pair in slots])
 
     def initial(
         self, input_objects: Multiset = EMPTY, input_region: Optional[int] = None
@@ -255,24 +360,59 @@ class Engine:
 
         Raises ValueError for an input region the system does not have.
         """
-        regions = {label: self.system.initial_contents(label) for label in self.labels}
         if input_objects or input_region is not None:
-            if input_region not in regions:
+            if input_region not in self.labels:
                 raise ValueError(f"no region labeled {input_region}")
-            regions[input_region] = regions[input_region] + input_objects
-        return Configuration(regions, EnvContent(self.system.env_support))
+            added = {(input_region, name): k for name, k in input_objects.items()}
+            return Configuration._of(*self._lowered(added, self._start))
+        return Configuration._of(self._layout, self._start)
+
+    def _lowered(
+        self, added: dict[tuple[int, str], int], counts: tuple[int, ...]
+    ) -> tuple[_Layout, tuple[int, ...]]:
+        """`counts` over this engine's layout plus `added`.
+
+        Pairs the layout lacks get slots appended to a copy of it.
+        """
+        layout = self._layout
+        outside = sorted(pair for pair in added if pair not in layout.index)
+        if outside:
+            layout = _Layout(layout.slots + tuple(outside), layout.labels, layout.infinite, layout)
+        pools = list(counts) + [0] * len(outside)
+        for pair, k in added.items():
+            pools[layout.index[pair]] += k
+        return layout, tuple(pools)
+
+    def _counts(self, c: Configuration) -> tuple[_Layout, tuple[int, ...]]:
+        """The layout and counts of `c`, lowered onto this engine's layout if need be.
+
+        Raises ValueError for a configuration with regions or an unlimited
+        supply the system does not have.
+        """
+        layout = c._layout
+        if layout.base is self._layout:
+            return layout, c._counts
+        unknown = set(layout.labels).difference(self.labels)
+        if unknown:
+            raise ValueError(f"no region labeled {min(unknown)}")
+        if layout.infinite != self._layout.infinite:
+            raise ValueError("the configuration's unlimited supply is not the system's")
+        return self._lowered(dict(c._held()), (0,) * len(self._start))
+
+    def _enabled(self, pools) -> list[tuple[int, int]]:
+        """(rule index, largest standalone multiplicity) of every applicable rule."""
+        out = []
+        for index, need in enumerate(self._needs):
+            bound = _bound(need, pools)
+            if bound is None:
+                raise _unbounded(self.rules[index])
+            if bound:
+                out.append((index, bound))
+        return out
 
     def enabled(self, c: Configuration) -> list[tuple[TransferRule, int]]:
         """Rules applicable at least once, with the largest standalone multiplicity."""
-        pools = _pools(c)
-        out = []
-        for rule, need in zip(self.rules, self._needs):
-            bound = _bound(need, pools)
-            if bound is None:
-                raise _unbounded(rule)
-            if bound > 0:
-                out.append((rule, bound))
-        return out
+        return [(self.rules[index], bound) for index, bound in self._enabled(self._counts(c)[1])]
 
     def is_halted(self, c: Configuration) -> bool:
         return not self.enabled(c)
@@ -280,7 +420,7 @@ class Engine:
     def result(self, c: Configuration) -> int:
         if not self.is_halted(c):
             raise ValueError("result is only defined for halted configurations")
-        return c.regions[self.output].size
+        return c.region_size(self.output)
 
     def maximal_steps(
         self, c: Configuration, cap: int = 10_000
@@ -291,11 +431,11 @@ class Engine:
         choices were found and more may exist, or when the enumeration
         work limit was hit on a pathologically wide configuration.
         """
-        enabled = self.enabled(c)
-        if not enabled:
+        held = self._counts(c)[1]
+        in_play = [(index, self._needs[index]) for index, _ in self._enabled(held)]
+        if not in_play:
             return (), True
-        in_play = [(rule.index, self._needs[rule.index]) for rule, _ in enabled]
-        pools = _pools(c)
+        pools = list(held)
         counts = [0] * len(in_play)
         choices: list[StepChoice] = []
         aborted = False
@@ -343,28 +483,21 @@ class Engine:
         An inapplicable choice surfaces as a multiset underflow, which
         indicates a defect in the caller, not bad user input.
         """
-        pools = _pools(c)
-        touched = set()
+        layout, counts = self._counts(c)
+        pools = list(counts)
         for index, m in choice.applications:
-            need = self._needs[index]
-            _take(need, pools, m)
-            for node, name, _ in need:
-                if pools[node][name] < 0:
+            for slot, count in self._needs[index]:
+                left = pools[slot] - m * count
+                if left < 0:
+                    node, name = layout.slots[slot]
                     raise MultisetUnderflow(
                         f"step {choice.applications} takes more {name} than node {node} holds"
                     )
-                touched.add(node)
+                pools[slot] = left
         for index, m in choice.applications:
-            _take(self._gives[index], pools, -m)
-            touched.update(node for node, _, _ in self._gives[index])
-        regions = dict(c.regions)
-        env = c.env
-        for node in touched:
-            if node:
-                regions[node] = Multiset(pools[node])
-            else:
-                env = EnvContent(env.infinite, Multiset(pools[0]))
-        return Configuration(regions, env)
+            for slot, count in self._gives[index]:
+                pools[slot] += m * count
+        return Configuration._of(layout, tuple(pools))
 
     def run(
         self,
@@ -420,7 +553,7 @@ class Engine:
         """
         order = list(self.rules)
         rng.shuffle(order)
-        pools = _pools(c)
+        pools = list(self._counts(c)[1])
         granted: dict[int, int] = {}
         for rule in order:
             need = self._needs[rule.index]
@@ -454,11 +587,12 @@ class Engine:
         """Line-oriented trace serialization, one JSON-ready dict per record."""
 
         def snapshot(c: Configuration) -> dict:
+            layout, counts = self._counts(c)
             return {
                 "regions": {
-                    str(label): dict(c.regions[label].items()) for label in self.labels
+                    str(label): layout.contents(counts, label) for label in self.labels
                 },
-                "env": dict(c.env.finite.items()),
+                "env": layout.contents(counts, 0),
             }
 
         yield {"step": 0, **snapshot(trace.initial)}
@@ -476,7 +610,7 @@ class Engine:
             yield record
         summary = {"halted": trace.halted, "steps": trace.steps_taken}
         if trace.halted:
-            summary["result"] = trace.final.regions[self.output].size
+            summary["result"] = trace.final.region_size(self.output)
         yield summary
 
 

@@ -117,7 +117,7 @@ def _walk(
             break
         if not steps:
             halting_leaves += 1
-            results.add(config.regions[engine.output].size)
+            results.add(config.region_size(engine.output))
             continue
         if config.total_tracked > budget.max_total_objects:
             cut_branches += 1
@@ -313,13 +313,13 @@ def harness_deterministic_minimal(
         if not report.ok:
             violations.append(f"system {k}: invalid: {report}")
             continue
-        verdict = check_deterministic(sys, budget)
+        engine = Engine(sys)
+        verdict = check_deterministic(engine, budget)
         if verdict.status != "deterministic_up_to_budget":
             violations.append(
                 f"system {k}: not certified deterministic ({verdict.status})"
             )
             continue
-        engine = Engine(sys)
         config = engine.initial()
         initial_total = config.total_inside
         halted = False

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .multiset import Multiset, format_multiset, is_valid_name
+from .multiset import EMPTY, Multiset, format_multiset, is_valid_name
 
 # Violation codes are stable identifiers; tests and scripts match on them.
 SKIN_PULLS_UNLIMITED = "V001"  # symport-in at the skin over unlimited objects only
@@ -241,7 +241,7 @@ class _System:
         self.rules = tuple(self.rules)
 
     def initial_contents(self, label: int) -> Multiset:
-        return self.init.get(label, Multiset())
+        return self.init.get(label, EMPTY)
 
 
 @dataclass

@@ -186,6 +186,17 @@ def test_explore_two_branches(tmp_path, capsys):
     assert payload["exhausted"] is True
 
 
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    path = put(tmp_path, "s.psys", TWO_BRANCH)
+    code, pretty, _ = invoke(capsys, "explore", path, "--pretty")
+    assert code == 0 and pretty.count("\n") > 1
+    code, plain, _ = invoke(capsys, "explore", path)
+    assert code == 0 and plain.count("\n") == 1
+    assert json.loads(pretty) == json.loads(plain)
+    assert cli.build_parser.cache_info().misses == 1
+
 def test_explore_budget_starved(tmp_path, capsys):
     path = put(tmp_path, "s.psys", TWO_BRANCH)
     code, out, _ = invoke(capsys, "explore", path, "--max-branches", "1")

@@ -557,3 +557,16 @@ def test_configuration_contract_holds_across_construction_routes():
     start = eng.initial()
     user_built = Configuration(start.regions, start.env)
     assert explore(eng, start=user_built) == explore(eng)
+
+
+def test_engine_lowers_user_built_configurations_onto_its_layout():
+    eng = Engine(cell([CellRule(1, SymportOut(ms("a")))], init="a^2"))
+    start = Configuration({1: ms("a zzz")}, EnvContent((), ms("b")))
+    [choice] = eng.maximal_steps(start)[0]
+    after = eng.apply(start, choice)
+    assert after == Configuration({1: ms("zzz")}, EnvContent((), ms("a b")))
+    assert explore(eng, start=start).results == frozenset({1})
+    with pytest.raises(ValueError, match="no region labeled 5"):
+        eng.maximal_steps(Configuration({1: ms("a"), 5: ms("a")}, EnvContent()))
+    with pytest.raises(ValueError, match="unlimited supply"):
+        eng.apply(Configuration({1: ms("a")}, EnvContent({"a"})), choice)

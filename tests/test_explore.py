@@ -254,6 +254,20 @@ def test_deterministic_harness_accepts_the_corpus():
     assert report.checked >= 10
 
 
+
+def test_deterministic_harness_builds_one_engine_per_system(monkeypatch):
+    built = []
+    init = Engine.__init__
+
+    def counting_init(engine, sys):
+        built.append(sys)
+        init(engine, sys)
+
+    monkeypatch.setattr(Engine, "__init__", counting_init)
+    corpus = deterministic_minimal_corpus()
+    assert harness_deterministic_minimal(corpus).ok
+    assert len(corpus) == 12 and len(built) == 12
+
 def test_deterministic_harness_rejects_non_minimal_rules():
     fat = flat([SymportOut(ms("a b^2"))], "a b^2")
     report = harness_deterministic_minimal([fat])
