@@ -22,7 +22,14 @@ from typing import Optional, Sequence
 
 from . import dsl, rm
 from .engine import Engine, trace_to_lines
-from .explore import ExploreBudget, explore
+from .explore import (
+    DEFAULT_MAX_BRANCHES,
+    DEFAULT_MAX_CONFIGS,
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_TOTAL_OBJECTS,
+    ExploreBudget,
+    explore,
+)
 from .measures import classify, profile
 from .model import validate
 from .multiset import MultisetSyntaxError, parse_multiset
@@ -282,10 +289,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("explore", help="enumerate halting results within budgets")
     p.add_argument("file")
-    p.add_argument("--max-depth", type=_at_least(1), default=64)
-    p.add_argument("--max-objects", type=_at_least(1), default=64)
-    p.add_argument("--max-branches", type=_at_least(1), default=10_000)
-    p.add_argument("--max-configs", type=_at_least(1), default=1_000_000)
+    p.add_argument("--max-depth", type=_at_least(1), default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--max-objects", type=_at_least(1), default=DEFAULT_MAX_TOTAL_OBJECTS)
+    p.add_argument("--max-branches", type=_at_least(1), default=DEFAULT_MAX_BRANCHES)
+    p.add_argument("--max-configs", type=_at_least(1), default=DEFAULT_MAX_CONFIGS)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_explore)
 

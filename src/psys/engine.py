@@ -21,13 +21,13 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .model import (
+    CellAntiport,
     CellPSystem,
     PSystem,
-    SymportIn,
-    SymportOut,
+    TissueAntiport,
     TissuePSystem,
-    TissueSymport,
     UniportRule,
+    cell_channel,
     cell_rule_text,
     interaction_rule_text,
     tissue_rule_text,
@@ -129,9 +129,6 @@ class Configuration:
         layout = self._layout
         return EnvContent(layout.infinite, Multiset(layout.contents(self._counts, 0)))
 
-    def region(self, label: int) -> Multiset:
-        return self.regions[label]
-
     def region_size(self, label: int) -> int:
         """Number of objects in region `label`, without building its multiset."""
         if label not in self._layout.labels:
@@ -192,16 +189,6 @@ class StepChoice:
 
     applications: tuple[tuple[int, int], ...]
 
-    def multiplicity(self, rule_index: int) -> int:
-        for index, count in self.applications:
-            if index == rule_index:
-                return count
-        return 0
-
-    @property
-    def total_applications(self) -> int:
-        return sum(count for _, count in self.applications)
-
 
 @dataclass
 class TraceStep:
@@ -241,25 +228,22 @@ def _merge(parts: list[tuple[int, Multiset]]) -> tuple[tuple[int, Multiset], ...
 def _moves(sys: PSystem, rule) -> tuple[str, list[tuple[int, Multiset, int]]]:
     """Display text of one rule and the (src, objects, dst) moves it makes."""
     if isinstance(sys, CellPSystem):
-        inner, outer, form = rule.region, sys.structure.outer(rule.region), rule.form
-        text = f"{cell_rule_text(rule)} @ {inner}"
-        if isinstance(form, SymportIn):
-            return text, [(outer, form.objects, inner)]
-        if isinstance(form, SymportOut):
-            return text, [(inner, form.objects, outer)]
-        return text, [(inner, form.outbound, outer), (outer, form.inbound, inner)]
-    if isinstance(sys, TissuePSystem):
-        text = tissue_rule_text(rule)
-        if isinstance(rule, TissueSymport):
-            return text, [(rule.src, rule.objects, rule.dst)]
-        return text, [(rule.src, rule.outbound, rule.dst), (rule.dst, rule.inbound, rule.src)]
-    text = interaction_rule_text(rule)
-    if isinstance(rule, UniportRule):
-        return text, [(rule.src, Multiset([rule.obj]), rule.dst)]
-    return text, [
-        (rule.src_a, Multiset([rule.obj_a]), rule.dst_a),
-        (rule.src_b, Multiset([rule.obj_b]), rule.dst_b),
-    ]
+        src, dst = cell_channel(sys.structure, rule)
+        text, form = f"{cell_rule_text(rule)} @ {rule.region}", rule.form
+    elif isinstance(sys, TissuePSystem):
+        src, dst, text, form = rule.src, rule.dst, tissue_rule_text(rule), rule
+    else:
+        text = interaction_rule_text(rule)
+        if isinstance(rule, UniportRule):
+            return text, [(rule.src, Multiset([rule.obj]), rule.dst)]
+        return text, [
+            (rule.src_a, Multiset([rule.obj_a]), rule.dst_a),
+            (rule.src_b, Multiset([rule.obj_b]), rule.dst_b),
+        ]
+    # A symport or antiport, cell form or tissue rule, across src -> dst.
+    if isinstance(form, (CellAntiport, TissueAntiport)):
+        return text, [(src, form.outbound, dst), (dst, form.inbound, src)]
+    return text, [(src, form.objects, dst)]
 
 
 def normalize_rules(sys: PSystem) -> tuple[TransferRule, ...]:
@@ -461,11 +445,14 @@ class Engine:
                 return
             need = in_play[pos][1]
             m = _bound(need, pools)
+            # Below its top multiplicity the last rule in play could fire
+            # once more, so no smaller count of it is maximal.
+            low = m if pos == len(in_play) - 1 else 0
             _take(need, pools, m)
             while True:
                 counts[pos] = m
                 dfs(pos + 1)
-                if aborted or m == 0:
+                if aborted or m == low:
                     break
                 _take(need, pools, -1)
                 m -= 1

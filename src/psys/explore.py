@@ -267,12 +267,7 @@ def harness_monotone_minimal(sample_count: int, seed: int) -> HarnessReport:
                     f"{successor.total_inside} on {choice}"
                 )
 
-        budget = ExploreBudget(
-            max_depth=4096,
-            max_total_objects=max(initial_inside, 1),
-            max_branches=10_000,
-            max_configs=1_000_000,
-        )
+        budget = ExploreBudget(max_depth=4096, max_total_objects=max(initial_inside, 1))
         outcome = explore(sys, budget, on_edge=watch_edge)
         if not outcome.exhausted:
             violations.append(

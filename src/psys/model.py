@@ -13,8 +13,8 @@ raise on bad systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass, fields
+from typing import Iterable, Mapping, Optional, Union
 
 from .multiset import EMPTY, Multiset, format_multiset, is_valid_name
 
@@ -228,10 +228,12 @@ class UniportRule:
 
 
 class _System:
-    """What every system kind shares: normalized fields and initial contents.
+    """What every system kind shares: normalized fields, initial contents, equality.
 
     Each kind is a dataclass whose second field (a membrane structure or
-    a cell count) says where its regions are.
+    a cell count) says where its regions are. Cell and tissue systems
+    supply `_rule_key` for `__eq__`; interaction systems keep the
+    dataclass's own equality.
     """
 
     def __post_init__(self):
@@ -243,8 +245,23 @@ class _System:
     def initial_contents(self, label: int) -> Multiset:
         return self.init.get(label, EMPTY)
 
+    def __eq__(self, other: object) -> bool:
+        # Rule order carries no meaning: rules compare as a multiset of `_rule_key`s.
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        regions = fields(self)[1].name
+        key = self._rule_key
+        return (
+            self.alphabet == other.alphabet
+            and getattr(self, regions) == getattr(other, regions)
+            and self.init == other.init
+            and self.env_support == other.env_support
+            and self.output == other.output
+            and sorted(self.rules, key=key) == sorted(other.rules, key=key)
+        )
 
-@dataclass
+
+@dataclass(eq=False)
 class CellPSystem(_System):
     alphabet: frozenset[str]
     structure: MembraneStructure
@@ -253,22 +270,12 @@ class CellPSystem(_System):
     rules: tuple[CellRule, ...]
     output: int
 
-    def __eq__(self, other: object) -> bool:
-        # Rule order carries no meaning, so compare rules as a multiset.
-        if not isinstance(other, CellPSystem):
-            return NotImplemented
-        key = lambda r: (r.region, cell_rule_text(r))
-        return (
-            self.alphabet == other.alphabet
-            and self.structure == other.structure
-            and self.init == other.init
-            and self.env_support == other.env_support
-            and self.output == other.output
-            and sorted(self.rules, key=key) == sorted(other.rules, key=key)
-        )
+    @staticmethod
+    def _rule_key(rule: CellRule) -> tuple:
+        return (rule.region, cell_rule_text(rule))
 
 
-@dataclass
+@dataclass(eq=False)
 class TissuePSystem(_System):
     alphabet: frozenset[str]
     n_cells: int
@@ -277,19 +284,9 @@ class TissuePSystem(_System):
     rules: tuple[TissueRule, ...]
     output: int
 
-    def __eq__(self, other: object) -> bool:
-        # Rule order carries no meaning, so compare rules as a multiset.
-        if not isinstance(other, TissuePSystem):
-            return NotImplemented
-        key = lambda r: (r.src, r.dst, tissue_rule_text(r))
-        return (
-            self.alphabet == other.alphabet
-            and self.n_cells == other.n_cells
-            and self.init == other.init
-            and self.env_support == other.env_support
-            and self.output == other.output
-            and sorted(self.rules, key=key) == sorted(other.rules, key=key)
-        )
+    @staticmethod
+    def _rule_key(rule: TissueRule) -> tuple:
+        return (rule.src, rule.dst, tissue_rule_text(rule))
 
 
 @dataclass
@@ -359,6 +356,28 @@ def _check_objects(ms: Multiset, alphabet: frozenset[str], where: str, out: list
         )
 
 
+def _check_sides(rule, alphabet: frozenset[str], where: str, out: list[Violation]):
+    """Each side of a symport or antiport, cell or tissue, is non-empty and declared."""
+    if isinstance(rule, (CellAntiport, TissueAntiport)):
+        sides = (rule.outbound, rule.inbound)
+    else:
+        sides = (rule.objects,)
+    for side in sides:
+        if not side:
+            out.append(Violation(EMPTY_RULE_SIDE, where, "rule sides must be non-empty"))
+        _check_objects(side, alphabet, where, out)
+
+
+def _pulls_only_unlimited(rule, src: Optional[int], env_support: frozenset[str]) -> bool:
+    """A symport (cell form or tissue rule) out of node 0 over unlimited objects only."""
+    return (
+        src == 0
+        and isinstance(rule, (SymportIn, TissueSymport))
+        and bool(rule.objects)
+        and all(name in env_support for name in rule.objects.support())
+    )
+
+
 def _check_init(init, valid_regions, alphabet, out: list[Violation]):
     for label in sorted(init):
         if label not in valid_regions:
@@ -394,25 +413,9 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
                 Violation(NODE_OUT_OF_RANGE, where, f"no membrane labeled {rule.region}")
             )
             continue
-        form = rule.form
-        sides = (
-            [form.objects]
-            if isinstance(form, (SymportIn, SymportOut))
-            else [form.outbound, form.inbound]
-        )
-        for side in sides:
-            if not side:
-                out.append(
-                    Violation(EMPTY_RULE_SIDE, where, "rule sides must be non-empty")
-                )
-            _check_objects(side, sys.alphabet, where, out)
-        if (
-            tree_ok
-            and isinstance(form, SymportIn)
-            and rule.region == sys.structure.skin
-            and form.objects
-            and all(name in sys.env_support for name in form.objects.support())
-        ):
+        _check_sides(rule.form, sys.alphabet, where, out)
+        src = cell_channel(sys.structure, rule)[0] if tree_ok else None
+        if _pulls_only_unlimited(rule.form, src, sys.env_support):
             out.append(
                 Violation(
                     SKIN_PULLS_UNLIMITED,
@@ -473,23 +476,8 @@ def validate_tissue(sys: TissuePSystem) -> ValidationReport:
             out.append(
                 Violation(EQUAL_ENDPOINTS, where, "rule endpoints must differ")
             )
-        sides = (
-            [rule.objects]
-            if isinstance(rule, TissueSymport)
-            else [rule.outbound, rule.inbound]
-        )
-        for side in sides:
-            if not side:
-                out.append(
-                    Violation(EMPTY_RULE_SIDE, where, "rule sides must be non-empty")
-                )
-            _check_objects(side, sys.alphabet, where, out)
-        if (
-            isinstance(rule, TissueSymport)
-            and rule.src == 0
-            and rule.objects
-            and all(name in sys.env_support for name in rule.objects.support())
-        ):
+        _check_sides(rule, sys.alphabet, where, out)
+        if _pulls_only_unlimited(rule, rule.src, sys.env_support):
             out.append(
                 Violation(
                     ENV_SYMPORT_UNLIMITED,
@@ -561,12 +549,22 @@ def derive_graph(sys: TissuePSystem) -> frozenset[tuple[int, int]]:
     """
     edges = set()
     for rule in sys.rules:
-        if isinstance(rule, TissueSymport):
-            edges.add((rule.src, rule.dst))
-        else:
-            edges.add((rule.src, rule.dst))
+        edges.add((rule.src, rule.dst))
+        if isinstance(rule, TissueAntiport):
             edges.add((rule.dst, rule.src))
     return frozenset(edges)
+
+
+def cell_channel(structure: MembraneStructure, rule: CellRule) -> tuple[int, int]:
+    """The (src, dst) node pair a cell rule crosses, as a tissue rule would name it.
+
+    Symport-in runs from the outer region into the rule's region;
+    symport-out and antiport run from the rule's region out.
+    """
+    outer = structure.outer(rule.region)
+    if isinstance(rule.form, SymportIn):
+        return outer, rule.region
+    return rule.region, outer
 
 
 def encode_cell_as_tissue(sys: CellPSystem) -> TissuePSystem:
@@ -582,16 +580,12 @@ def encode_cell_as_tissue(sys: CellPSystem) -> TissuePSystem:
         raise ValueError(f"cannot encode an invalid cell system:\n{report}")
     rules: list[TissueRule] = []
     for rule in sys.rules:
-        outer = sys.structure.outer(rule.region)
+        src, dst = cell_channel(sys.structure, rule)
         form = rule.form
-        if isinstance(form, SymportIn):
-            rules.append(TissueSymport(outer, form.objects, rule.region))
-        elif isinstance(form, SymportOut):
-            rules.append(TissueSymport(rule.region, form.objects, outer))
+        if isinstance(form, CellAntiport):
+            rules.append(TissueAntiport(src, form.outbound, form.inbound, dst))
         else:
-            rules.append(
-                TissueAntiport(rule.region, form.outbound, form.inbound, outer)
-            )
+            rules.append(TissueSymport(src, form.objects, dst))
     return TissuePSystem(
         alphabet=sys.alphabet,
         n_cells=sys.structure.n,

@@ -80,24 +80,6 @@ class Multiset:
         """Componentwise containment: every count here fits in `other`."""
         return all(k <= other.count(name) for name, k in self._items)
 
-    def scale(self, factor: int) -> "Multiset":
-        """`factor` parallel copies of this multiset."""
-        if factor < 0:
-            raise ValueError(f"negative factor: {factor}")
-        if factor == 0:
-            return Multiset()
-        return Multiset({name: k * factor for name, k in self._items})
-
-    def restrict(self, names: Iterable[str]) -> "Multiset":
-        """Sub-multiset keeping only the given names."""
-        keep = set(names)
-        return Multiset({n: k for n, k in self._items if n in keep})
-
-    def without(self, names: Iterable[str]) -> "Multiset":
-        """Sub-multiset dropping the given names."""
-        drop = set(names)
-        return Multiset({n: k for n, k in self._items if n not in drop})
-
     def __add__(self, other: "Multiset") -> "Multiset":
         merged = dict(self._counts)
         for name, k in other._items:
@@ -204,21 +186,6 @@ class EnvContent:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("EnvContent is immutable")
-
-    def available(self, x: Multiset) -> bool:
-        """Whether `x` can be taken: unlimited names always, others from the remainder."""
-        return all(
-            name in self.infinite or k <= self.finite.count(name)
-            for name, k in x.items()
-        )
-
-    def take(self, x: Multiset) -> "EnvContent":
-        """Remove `x`; copies of unlimited objects come from the pool for free."""
-        return EnvContent(self.infinite, self.finite - x.without(self.infinite))
-
-    def give(self, x: Multiset) -> "EnvContent":
-        """Add `x`; copies of unlimited objects vanish into the pool."""
-        return EnvContent(self.infinite, self.finite + x.without(self.infinite))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EnvContent):

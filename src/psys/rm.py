@@ -326,10 +326,7 @@ def verify_compilation(
             break
     if budget is None:
         budget = ExploreBudget(
-            max_depth=10_000,
-            max_total_objects=m.num_registers * value_bound + 2,
-            max_branches=10_000,
-            max_configs=1_000_000,
+            max_depth=10_000, max_total_objects=m.num_registers * value_bound + 2
         )
     outcome = explore(compiled.system, budget)
     allowed = set(range(value_bound + 1))
@@ -360,6 +357,6 @@ def compiled_profile_certificate(compiled: CompiledSystem) -> bool:
     measured = profile(compiled.system)
     return (
         measured.max_antiport_size == compiled.certificate
-        and measured.max_antiport_size <= 3
+        and measured.max_antiport_size <= 2
         and measured.degree == 1
     )

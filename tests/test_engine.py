@@ -121,6 +121,15 @@ def test_maximal_steps_cap_and_truncation():
     assert not complete and len(cut) == 5
 
 
+def test_last_rule_in_play_tries_only_its_top_multiplicity():
+    # One enabled rule of bound b is one maximal step. Walking the b
+    # smaller counts as well would hit the work limit (65,536 leaves at
+    # cap 1) and report the one-step listing as incomplete.
+    eng = Engine(cell([CellRule(1, SymportOut(ms("a")))], init="a^70000"))
+    assert eng.maximal_steps(eng.initial(), cap=1) == ((StepChoice(((0, 70000),)),), True)
+    assert eng.maximal_steps(eng.initial(), cap=0) == ((), False)
+
+
 def test_step_choices_are_canonically_ordered():
     sys = cell(
         [CellRule(1, SymportOut(ms("b"))), CellRule(1, SymportOut(ms("a")))],

@@ -10,6 +10,7 @@ import hashlib
 import random
 from pathlib import Path
 
+import psys
 from psys import cli
 from psys.engine import Engine
 
@@ -137,3 +138,33 @@ def test_greedy_steps_are_maximal_on_shared_object_systems():
         for seed in range(4):
             choice = eng._greedy_step(c, random.Random(seed))
             assert choice in steps if steps else choice.applications == ()
+
+
+# The public names at the time the compatibility surface was pinned; a
+# change that drops or adds one has to change this list on purpose.
+PUBLIC_NAMES = [
+    "Add", "CellAntiport", "CellPSystem", "CellRule", "CompileError",
+    "CompiledSystem", "ComplexityProfile", "Configuration",
+    "DeterminismVerdict", "EMPTY", "Engine", "EnvContent", "ExploreBudget",
+    "ExploreOutcome", "Halt", "HarnessReport", "InteractionRule",
+    "InteractionSystem", "MembraneStructure", "Multiset",
+    "MultisetSyntaxError", "MultisetUnderflow", "RegisterMachine",
+    "RuleClass", "SourceDiagnostic", "StepChoice", "Sub", "SymportIn",
+    "SymportOut", "TissueAntiport", "TissuePSystem", "TissueSymport", "Trace",
+    "UniportRule", "ValidationReport", "VerificationReport", "Violation",
+    "cell_rule_size", "check_deterministic", "classify", "compile_machine",
+    "decide_accept", "derive_graph", "encode_cell_as_tissue", "explore",
+    "format_multiset", "harness_deterministic_minimal",
+    "harness_monotone_minimal", "machine_problems", "parse_interactions",
+    "parse_machine", "parse_multiset", "parse_structure", "parse_system",
+    "print_interactions", "print_machine", "print_system", "profile",
+    "rm_results", "tissue_rule_size", "trace_to_lines", "validate",
+    "validate_cell", "validate_interaction", "validate_tissue",
+    "verify_compilation",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(psys.__all__) == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        assert getattr(psys, name) is not None, name

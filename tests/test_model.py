@@ -385,6 +385,18 @@ def test_system_equality_ignores_rule_order():
     t1 = TissueSymport(1, ms("a"), 0)
     t2 = TissueAntiport(1, ms("a"), ms("e"), 0)
     assert tissue([t1, t2]) == tissue([t2, t1])
+    # Structure and cell count take part, and kinds never compare equal.
+    nested = CellPSystem(
+        alphabet=("a", "b", "e"),
+        structure=MembraneStructure(2, {2: 1}),
+        init={1: ms("a")},
+        env_support=("e",),
+        rules=[r1],
+        output=1,
+    )
+    assert nested != one_membrane([r1])
+    assert tissue([t1], n=2) != tissue([t1])
+    assert one_membrane([r1]) != encode_cell_as_tissue(one_membrane([r1]))
 
 
 def test_init_drops_empty_entries():

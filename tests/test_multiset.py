@@ -64,15 +64,6 @@ def test_sub_underflow():
         ms("b") - ms("a")
 
 
-def test_scale_restrict_without():
-    assert ms("a^2 b").scale(3) == ms("a^6 b^3")
-    assert ms("a^2 b").scale(0) == EMPTY
-    assert ms("a^2 b c").restrict(["a", "c"]) == ms("a^2 c")
-    assert ms("a^2 b c").without(["a", "c"]) == ms("b")
-    with pytest.raises(ValueError):
-        ms("a").scale(-1)
-
-
 def test_membership_and_count():
     m = ms("a^2 b")
     assert "a" in m and "b" in m and "c" not in m
@@ -81,30 +72,9 @@ def test_membership_and_count():
     assert m.support() == ("a", "b")
 
 
-def test_env_available():
-    assert EnvContent({"a"}, EMPTY).available(ms("a^99"))
-    e = EnvContent({"a"}, ms("b"))
-    assert e.available(ms("a b"))
-    assert not e.available(ms("b^2"))
-
-
-def test_env_take_give():
-    e = EnvContent({"a"}, ms("b"))
-    taken = e.take(ms("a^5 b"))
-    assert taken.finite == EMPTY
-    assert taken.infinite == frozenset({"a"})
-    given = taken.give(ms("a^3 c"))
-    assert given.finite == ms("c")  # copies of unlimited objects vanish
-
-
 def test_env_disjointness_enforced():
     with pytest.raises(ValueError):
         EnvContent({"a"}, ms("a b"))
-
-
-def test_env_take_underflow_is_a_defect():
-    with pytest.raises(MultisetUnderflow):
-        EnvContent({"a"}, ms("b")).take(ms("b^2"))
 
 
 def test_parse_basics():
