@@ -31,7 +31,7 @@ from .explore import (
     explore,
 )
 from .measures import classify, profile
-from .model import validate
+from .model import interaction_rule_text, validate
 from .multiset import MultisetSyntaxError, parse_multiset
 
 EXIT_OK = 0
@@ -78,13 +78,21 @@ def _read_text(path: str) -> str:
         raise _CliFailure(EXIT_USAGE) from err
 
 
-def _load_system(path: str):
-    sys_, diags = dsl.parse_system(_read_text(path))
-    if sys_ is None:
+def _parsed(path: str, parse):
+    """Parse the file at `path` with `parse`.
+
+    On failure print each diagnostic as `path:line:col: code: message` and exit 1.
+    """
+    value, diags = parse(_read_text(path))
+    if diags:
         for diag in diags:
             print(f"{path}:{diag}", file=sys.stderr)
         raise _CliFailure(EXIT_USAGE)
-    return sys_
+    return value
+
+
+def _load_system(path: str):
+    return _parsed(path, dsl.parse_system)
 
 
 def _validated_system(path: str):
@@ -126,8 +134,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    sys_ = _validated_system(args.file)
-    engine = Engine(sys_)
     if args.region is not None and args.accept is None:
         print("error: --region requires --accept", file=sys.stderr)
         return EXIT_USAGE
@@ -140,6 +146,8 @@ def cmd_run(args) -> int:
         except MultisetSyntaxError as err:
             print(f"error: bad --accept multiset: {err}", file=sys.stderr)
             return EXIT_USAGE
+    engine = Engine(_validated_system(args.file))
+    if args.accept is not None:
         if args.region not in engine.labels:
             print(f"error: no region labeled {args.region}", file=sys.stderr)
             return EXIT_USAGE
@@ -185,15 +193,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rules, diags = dsl.parse_interactions(_read_text(args.file))
-    if diags:
-        for diag in diags:
-            print(f"{args.file}:{diag}", file=sys.stderr)
-        return EXIT_USAGE
-    for rule in rules:
+    for rule in _parsed(args.file, dsl.parse_interactions):
         if args.pretty:
-            from .model import interaction_rule_text
-
             print(f"{interaction_rule_text(rule):48} {classify(rule)}")
         else:
             print(classify(rule))
@@ -201,11 +202,7 @@ def cmd_classify(args) -> int:
 
 
 def _load_machine(path: str) -> rm.RegisterMachine:
-    machine, diags = dsl.parse_machine(_read_text(path))
-    if machine is None:
-        for diag in diags:
-            print(f"{path}:{diag}", file=sys.stderr)
-        raise _CliFailure(EXIT_USAGE)
+    machine = _parsed(path, dsl.parse_machine)
     problems = rm.machine_problems(machine)
     if problems:
         for problem in problems:

@@ -459,11 +459,10 @@ def print_system(sys: Union[CellPSystem, TissuePSystem]) -> str:
         lines.append(f"@cells {sys.n_cells}")
     for label in sorted(sys.init):
         lines.append(f"@init {label}: {format_multiset(sys.init[label])}")
-    if is_cell:
-        for rule in sorted(sys.rules, key=lambda r: (r.region, cell_rule_text(r))):
+    for rule in sorted(sys.rules, key=sys._rule_key):
+        if is_cell:
             lines.append(f"@rules {rule.region}: {cell_rule_text(rule)}")
-    else:
-        for rule in sorted(sys.rules, key=lambda r: (r.src, r.dst, tissue_rule_text(r))):
+        else:
             lines.append(f"@rules: {tissue_rule_text(rule)}")
     lines.append(f"@output {sys.output}")
     return "\n".join(lines) + "\n"

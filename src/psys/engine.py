@@ -1,10 +1,10 @@
 """Exact maximally-parallel operational semantics.
 
-Every rule form reduces to the same shape: consume some multisets at
-some nodes, then produce some multisets at some nodes. The engine
-normalizes a system once, then enumerates maximal steps, applies them
-in two phases (all consumption from the old configuration, then all
-production), detects halting and extracts results.
+Every rule form reduces to the same shape: take some objects at some
+nodes, then give them at other nodes. The engine lowers each rule once,
+to take and give tables over integer slots, then enumerates maximal
+steps, applies them in two phases (all taking from the old
+configuration, then all giving), detects halting and extracts results.
 
 Node 0 is the environment. Objects in the system's unlimited supply are
 never tracked there; everything else accumulates in a finite remainder.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
@@ -174,13 +175,11 @@ class Configuration:
 
 @dataclass(frozen=True)
 class TransferRule:
-    """Normalized rule: per-node consumption and production."""
+    """One rule of a system: its position, positional id (r1, r2, ...) and text."""
 
     index: int
     rid: str
     text: str
-    consume: tuple[tuple[int, Multiset], ...]
-    produce: tuple[tuple[int, Multiset], ...]
 
 
 @dataclass(frozen=True)
@@ -217,14 +216,6 @@ class Trace:
             yield step.after
 
 
-def _merge(parts: list[tuple[int, Multiset]]) -> tuple[tuple[int, Multiset], ...]:
-    # Multisets are immutable, so a node's only part is kept as it is.
-    by_node: dict[int, Multiset] = {}
-    for node, ms in parts:
-        by_node[node] = by_node[node] + ms if node in by_node else ms
-    return tuple(sorted(by_node.items()))
-
-
 def _moves(sys: PSystem, rule) -> tuple[str, list[tuple[int, Multiset, int]]]:
     """Display text of one rule and the (src, objects, dst) moves it makes."""
     if isinstance(sys, CellPSystem):
@@ -246,41 +237,14 @@ def _moves(sys: PSystem, rule) -> tuple[str, list[tuple[int, Multiset, int]]]:
     return text, [(src, form.objects, dst)]
 
 
-def normalize_rules(sys: PSystem) -> tuple[TransferRule, ...]:
-    """Express every rule of the system as node-indexed transfers.
-
-    A rule consumes the merge of its moves' sources and produces the
-    merge of their destinations. Rule order is preserved and identifiers
-    are positional (r1, r2, ...), so systems derived from each other
-    rule-for-rule keep aligned ids.
-    """
-    out = []
-    for pos, rule in enumerate(sys.rules):
-        text, moves = _moves(sys, rule)
-        consume = _merge([(src, objects) for src, objects, _ in moves])
-        produce = _merge([(dst, objects) for _, objects, dst in moves])
-        out.append(TransferRule(pos, f"r{pos + 1}", text, consume, produce))
-    return tuple(out)
-
-
 # Resource accounting works on residual pools: a list of counts, one per
-# slot of the configuration's layout. A rule's need lists (slot, count) for
-# every finitely-tracked object it consumes, and its gives the same for what
-# it produces; objects in the unlimited supply have no slot at node 0.
-_Need = tuple[tuple[int, int], ...]
+# slot of the configuration's layout. A rule's take table lists (slot,
+# count) for every finitely-tracked object it takes, in (node, name) order,
+# and its give table the same for what it gives.
+_Table = tuple[tuple[int, int], ...]
 
 
-def _tracked(parts: tuple[tuple[int, Multiset], ...], index: dict) -> _Need:
-    """(slot, count) for every object of `parts` that has a slot in `index`."""
-    return tuple([
-        (index[node, name], count)
-        for node, ms in parts
-        for name, count in ms.items()
-        if (node, name) in index
-    ])
-
-
-def _bound(need: _Need, pools) -> Optional[int]:
+def _bound(need: _Table, pools) -> Optional[int]:
     """How many more applications fit into the pools; None if unbounded."""
     bound = None
     for slot, count in need:
@@ -290,7 +254,7 @@ def _bound(need: _Need, pools) -> Optional[int]:
     return bound
 
 
-def _take(need: _Need, pools: list[int], m: int) -> None:
+def _take(need: _Table, pools: list[int], m: int) -> None:
     """Remove `m` applications' worth of `need` in place; negative `m` gives back."""
     for slot, count in need:
         pools[slot] -= m * count
@@ -303,17 +267,15 @@ def _unbounded(rule: TransferRule) -> UnboundedStepError:
 class Engine:
     """Transition function of one system.
 
-    Instances are cheap and stateless beyond the normalized rules, the
-    slot layout and the rules' needs and gives over it; all methods are
-    pure functions of the configuration they receive, which draws on the
+    Instances are cheap and stateless beyond the rules, the slot layout
+    and the rules' take and give tables over it; all methods are pure
+    functions of the configuration they receive, which draws on the
     system's unlimited supply.
     """
 
     def __init__(self, sys: PSystem):
-        self.system = sys
         cell = isinstance(sys, CellPSystem)
         self.labels = sys.structure.labels if cell else range(1, sys.n_cells + 1)
-        self.rules = normalize_rules(sys)
         self.output = sys.output
         unlimited = frozenset(sys.env_support)
         start = {
@@ -321,20 +283,31 @@ class Engine:
             for label in self.labels
             for name, count in sys.initial_contents(label).items()
         }
-        # Every pair the rules or the initial contents name, except the
-        # unlimited supply, which is neither tracked nor consumed.
-        pairs = {
-            (node, name)
-            for rule in self.rules
-            for node, ms in rule.consume + rule.produce
-            for name, _ in ms.items()
-        }
-        pairs.update(start)
-        pairs.difference_update([(0, name) for name in unlimited])
-        slots = _ordered(pairs)
+        # A rule takes its moves' objects at their sources and gives them
+        # at their destinations: (node, name) -> count. The unlimited
+        # supply at node 0 is neither tracked nor consumed. Ids are
+        # positional, so systems derived rule-for-rule keep aligned ids.
+        rules, takes, gives = [], [], []
+        for pos, rule in enumerate(sys.rules):
+            text, moves = _moves(sys, rule)
+            take, give = Counter(), Counter()
+            for src, objects, dst in moves:
+                for name, count in objects.items():
+                    if src or name not in unlimited:
+                        take[src, name] += count
+                    if dst or name not in unlimited:
+                        give[dst, name] += count
+            rules.append(TransferRule(pos, f"r{pos + 1}", text))
+            takes.append(take)
+            gives.append(give)
+        self.rules = tuple(rules)
+        slots = _ordered(start.keys() | {pair for table in takes + gives for pair in table})
         self._layout = layout = _Layout(slots, tuple(self.labels), unlimited)
-        self._needs = [_tracked(rule.consume, layout.index) for rule in self.rules]
-        self._gives = [_tracked(rule.produce, layout.index) for rule in self.rules]
+        index = layout.index
+        self._takes, self._gives = (
+            [tuple([(index[pair], table[pair]) for pair in sorted(table)]) for table in tables]
+            for tables in (takes, gives)
+        )
         self._start = tuple([start.get(pair, 0) for pair in slots])
 
     def initial(
@@ -386,7 +359,7 @@ class Engine:
     def _enabled(self, pools) -> list[tuple[int, int]]:
         """(rule index, largest standalone multiplicity) of every applicable rule."""
         out = []
-        for index, need in enumerate(self._needs):
+        for index, need in enumerate(self._takes):
             bound = _bound(need, pools)
             if bound is None:
                 raise _unbounded(self.rules[index])
@@ -416,7 +389,7 @@ class Engine:
         work limit was hit on a pathologically wide configuration.
         """
         held = self._counts(c)[1]
-        in_play = [(index, self._needs[index]) for index, _ in self._enabled(held)]
+        in_play = [(index, self._takes[index]) for index, _ in self._enabled(held)]
         if not in_play:
             return (), True
         pools = list(held)
@@ -473,7 +446,7 @@ class Engine:
         layout, counts = self._counts(c)
         pools = list(counts)
         for index, m in choice.applications:
-            for slot, count in self._needs[index]:
+            for slot, count in self._takes[index]:
                 left = pools[slot] - m * count
                 if left < 0:
                     node, name = layout.slots[slot]
@@ -543,7 +516,7 @@ class Engine:
         pools = list(self._counts(c)[1])
         granted: dict[int, int] = {}
         for rule in order:
-            need = self._needs[rule.index]
+            need = self._takes[rule.index]
             bound = _bound(need, pools)
             if bound is None:
                 raise _unbounded(rule)

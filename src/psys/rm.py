@@ -100,17 +100,19 @@ def machine_problems(m: RegisterMachine) -> list[str]:
 
 
 def _machine_reach(
-    m: RegisterMachine, value_bound: int, state_bound: int
-) -> tuple[set[tuple[str, tuple[int, ...]]], bool]:
-    """All reachable (label, registers) states with every register ≤ value_bound."""
+    m: RegisterMachine, value_bound: int, state_bound: int = 1_000_000
+) -> tuple[list[tuple[str, tuple[int, ...]]], bool]:
+    """The reachable halting (label, registers) states with every register ≤ value_bound."""
     start = (m.start, (0,) * m.num_registers)
     seen = {start}
     frontier = [start]
+    halts = []
     exhausted = True
     while frontier:
         label, regs = frontier.pop()
         ins = m.instructions[label]
         if isinstance(ins, Halt):
+            halts.append((label, regs))
             continue
         successors = []
         if isinstance(ins, Add):
@@ -135,7 +137,7 @@ def _machine_reach(
                 continue
             seen.add(state)
             frontier.append(state)
-    return seen, exhausted
+    return halts, exhausted
 
 
 def rm_results(
@@ -149,13 +151,8 @@ def rm_results(
     problems = machine_problems(m)
     if problems:
         raise ValueError("; ".join(problems))
-    states, exhausted = _machine_reach(m, value_bound, state_bound)
-    results = frozenset(
-        regs[m.output_register - 1]
-        for label, regs in states
-        if isinstance(m.instructions[label], Halt)
-    )
-    return results, exhausted
+    halts, exhausted = _machine_reach(m, value_bound, state_bound)
+    return frozenset(regs[m.output_register - 1] for _, regs in halts), exhausted
 
 
 def register_object(r: int) -> str:
@@ -303,15 +300,10 @@ def verify_compilation(
     """
     messages: list[str] = []
     compiled = compiled if compiled is not None else compile_machine(m)
-    states, machine_exhausted = _machine_reach(m, value_bound, state_bound=1_000_000)
-    halt_states = [
-        (label, regs)
-        for label, regs in states
-        if isinstance(m.instructions[label], Halt)
-    ]
-    machine_results = frozenset(regs[m.output_register - 1] for _, regs in halt_states)
+    halts, machine_exhausted = _machine_reach(m, value_bound)
+    machine_results = frozenset(regs[m.output_register - 1] for _, regs in halts)
     normal_form_ok = True
-    for label, regs in sorted(halt_states):
+    for label, regs in sorted(halts):
         leftovers = {
             f"r{i + 1}": value
             for i, value in enumerate(regs)

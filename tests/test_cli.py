@@ -178,6 +178,22 @@ def test_run_region_without_accept_exits_one(tmp_path, capsys):
     assert err.splitlines() == ["error: --region requires --accept"]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--region", "1"], "error: --region requires --accept"),
+        (["--accept", "a^0", "--region", "1"], "error: bad --accept multiset: "),
+    ],
+    ids=["region-alone", "bad-accept"],
+)
+def test_run_flag_errors_come_before_reading_the_file(tmp_path, capsys, flags, message):
+    # Exit 1 like argparse's own usage errors, not 2 for the system failing validation.
+    path = put(tmp_path, "bad.psys", VALID.replace("(a, out; a, in)", "(a, in)"))
+    code, out, err = invoke(capsys, "run", path, *flags)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
 def test_explore_two_branches(tmp_path, capsys):
     code, out, _ = invoke(capsys, "explore", put(tmp_path, "s.psys", TWO_BRANCH))
     assert code == 0

@@ -8,7 +8,6 @@ from psys.engine import (
     Engine,
     StepChoice,
     UnboundedStepError,
-    normalize_rules,
     trace_to_lines,
 )
 from psys.explore import explore
@@ -26,8 +25,8 @@ from psys.model import (
 )
 from psys.multiset import EnvContent, Multiset, MultisetUnderflow, parse_multiset
 
-from gen import random_cell_system, random_system
-from oracles import apply_oracle, maximal_steps_oracle, state_of
+from gen import random_cell_system, random_shared_system, random_system
+from oracles import apply_oracle, maximal_steps_oracle, norm_rules, state_of
 
 
 def ms(text):
@@ -514,17 +513,32 @@ def test_trace_final_record_omits_result_when_not_halted():
     assert "result" not in last
 
 
-def test_normalize_rules_positions_match_rule_order():
-    sys = cell(
-        [CellRule(1, SymportOut(ms("a"))), CellRule(1, SymportIn(ms("b")))],
-        init="a",
-    )
-    rules = normalize_rules(sys)
-    assert [r.rid for r in rules] == ["r1", "r2"]
-    assert rules[0].consume == ((1, ms("a")),)
-    assert rules[0].produce == ((0, ms("a")),)
-    assert rules[1].consume == ((0, ms("b")),)
-    assert rules[1].produce == ((1, ms("b")),)
+def test_rule_tables_match_the_oracle_rules():
+    # Each rule's take and give tables, read back as (node, name) -> count,
+    # are the oracle's consume and produce without the unlimited env supply,
+    # listed in (node, name) order; ids run r1..rn in rule order.
+    rng = random.Random(11)
+    kinds = set()
+    for n in range(150):
+        sys = random_shared_system(rng) if n % 3 == 2 else random_system(rng)
+        kinds.add(type(sys).__name__)
+        eng = Engine(sys)
+        assert [(r.index, r.rid) for r in eng.rules] == [
+            (i, f"r{i + 1}") for i in range(len(sys.rules))
+        ]
+        slots = eng._layout.slots
+        reference = norm_rules(sys)
+        assert len(reference) == len(eng._takes) == len(eng._gives)
+        for (consume, produce), take, give in zip(reference, eng._takes, eng._gives):
+            for table, parts in ((take, consume), (give, produce)):
+                expected = {
+                    (node, name): k
+                    for node, counts in parts.items()
+                    for name, k in counts.items()
+                    if node or name not in sys.env_support
+                }
+                assert [(slots[slot], k) for slot, k in table] == sorted(expected.items())
+    assert kinds == {"CellPSystem", "TissuePSystem", "InteractionSystem"}
 
 
 def test_configuration_equality_and_hash():
