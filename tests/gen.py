@@ -3,7 +3,8 @@
 All generators take a random.Random and return systems that pass
 validation, so the engine never refuses them. Shapes stay small on
 purpose: the brute-force oracle enumerates full application-count
-vectors and anything larger would make it the bottleneck.
+vectors and anything larger would make it the bottleneck. `junk_text`
+is the exception: it makes arbitrary text for the parsers.
 """
 
 from __future__ import annotations
@@ -245,3 +246,16 @@ def random_shared_system(rng: random.Random, max_rules=4):
         else:
             rules.append(TissueAntiport(src, need(), need(), dst))
     return TissuePSystem(names, n, init, env, rules, rng.randint(1, n))
+
+
+def junk_text(rng) -> str:
+    """Random bytes decoded leniently, or a soup of format keywords and punctuation."""
+    if rng.random() < 0.5:
+        raw = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
+        return raw.decode("utf-8", errors="replace")
+    seeds = [
+        "@model", "cell", "tissue", "@rules", "1:", "(a, out)", "(0, x / y, 1)",
+        "@init", "@objects", "registers", "->", "|", "(", ")", "^", "#", "\n",
+        "@membranes", "1(2", "a^0", "@output", "HALT", "p0:",
+    ]
+    return " ".join(rng.choice(seeds) for _ in range(rng.randrange(0, 25)))

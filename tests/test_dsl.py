@@ -34,7 +34,7 @@ from psys.model import (
 from psys.multiset import Multiset, parse_multiset
 
 from corpus import deterministic_minimal_corpus
-from gen import random_cell_system, random_tissue_system
+from gen import junk_text, random_cell_system, random_tissue_system
 from machines import verification_suite
 
 
@@ -345,18 +345,6 @@ def test_machine_diagnostics():
 
 
 # ---------------------------------------------------------------- totality
-
-
-def junk_text(rng):
-    if rng.random() < 0.5:
-        raw = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
-        return raw.decode("utf-8", errors="replace")
-    seeds = [
-        "@model", "cell", "tissue", "@rules", "1:", "(a, out)", "(0, x / y, 1)",
-        "@init", "@objects", "registers", "->", "|", "(", ")", "^", "#", "\n",
-        "@membranes", "1(2", "a^0", "@output", "HALT", "p0:",
-    ]
-    return " ".join(rng.choice(seeds) for _ in range(rng.randrange(0, 25)))
 
 
 def test_parsers_are_total_on_junk():

@@ -12,9 +12,26 @@ from pathlib import Path
 
 import psys
 from psys import cli
+from psys.dsl import (
+    parse_interactions,
+    parse_machine,
+    parse_system,
+    print_interactions,
+    print_machine,
+    print_system,
+)
 from psys.engine import Engine
+from psys.multiset import format_multiset
 
-from gen import random_shared_system, random_system
+from gen import (
+    junk_text,
+    random_cell_system,
+    random_interaction_system,
+    random_shared_system,
+    random_system,
+    random_tissue_system,
+)
+from machines import verification_suite
 from oracles import apply_oracle, maximal_steps_oracle, state_of
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -138,6 +155,75 @@ def test_greedy_steps_are_maximal_on_shared_object_systems():
         for seed in range(4):
             choice = eng._greedy_step(c, random.Random(seed))
             assert choice in steps if steps else choice.applications == ()
+
+
+def _parser_corpus(rng):
+    """Seeded texts for the parsers: junk, printed systems, machines and
+    interaction rules, each followed by character-level mutations of it."""
+    bases = [junk_text(rng) for _ in range(600)]
+    for _ in range(100):
+        bases.append(print_system(random_cell_system(rng)))
+        bases.append(print_system(random_tissue_system(rng)))
+        bases.append(print_interactions(random_interaction_system(rng).rules))
+    bases += [print_machine(machine) for machine in verification_suite()] * 4
+    alphabet = "@:;,()/^|#->\n \t01239abrxpHALTSUBDempty"
+    for text in bases:
+        yield text
+        for _ in range(12):
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(chars) + 1)
+                edit = rng.randrange(3)
+                if edit == 0 and at < len(chars):
+                    del chars[at]
+                elif edit == 1 and at < len(chars):
+                    chars[at] = rng.choice(alphabet)
+                else:
+                    chars.insert(at, rng.choice(alphabet))
+            yield "".join(chars)
+
+
+def _canonical(value) -> str:
+    """A parse result as text that does not depend on set iteration order."""
+    if isinstance(value, (psys.CellPSystem, psys.TissuePSystem)):
+        shape = getattr(value, "structure", None)
+        shape = (shape.n, sorted(shape.parent.items())) if shape else value.n_cells
+        return repr((
+            type(value).__name__,
+            sorted(value.alphabet),
+            sorted(value.env_support),
+            shape,
+            sorted((label, format_multiset(ms)) for label, ms in value.init.items()),
+            [repr(rule) for rule in value.rules],
+            value.output,
+        ))
+    if isinstance(value, psys.RegisterMachine):
+        return repr((
+            value.num_registers,
+            value.output_register,
+            value.start,
+            sorted(value.instructions.items()),
+        ))
+    return repr(value)
+
+
+# sha256 of every parser's value and diagnostics over the seeded corpus
+# below. A change to it changes what some text parses to, or a
+# diagnostic's line, column, code or message.
+PARSER_DIGEST = "d3f3c52c187ca4efe99daec531710a94488703eaea2a5712a5310aa25e510e6e"
+
+
+def test_parser_outputs_are_pinned():
+    digest = hashlib.sha256()
+    texts = 0
+    for text in _parser_corpus(random.Random(8)):
+        texts += 1
+        for parse in (parse_system, parse_interactions, parse_machine):
+            value, diags = parse(text)
+            digest.update(_canonical(value).encode())
+            digest.update("\n".join(map(str, diags)).encode() + b"\0")
+    assert texts >= 11_000
+    assert digest.hexdigest() == PARSER_DIGEST
 
 
 # The public names at the time the compatibility surface was pinned; a
