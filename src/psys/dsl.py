@@ -2,10 +2,12 @@
 and `.rm` register-machine files.
 
 Parsers are total: any input, including binary garbage, yields located
-diagnostics rather than an exception. Parsing only builds values; the
-model validators judge them, so a file can parse cleanly and still be
-rejected as an invalid system. Printers emit one canonical form, byte
-for byte, and parse(print(x)) reconstructs x.
+diagnostics rather than an exception. All three run inside one net
+(`_total`) that turns a parser bug into a D011 diagnostic. Parsing only
+builds values; the model validators judge them, so a file can parse
+cleanly and still be rejected as an invalid system. Printers are defined
+on every value a parser returns, a membrane forest included; they emit
+one canonical form, byte for byte, and parse(print(x)) reconstructs x.
 
 System file shape (directives in any order, one per line, `#` comments):
 
@@ -90,6 +92,27 @@ class _Collector:
         return bool(self.diags)
 
 
+def _total(inner, text: str, failed):
+    """Run inner(text, out): (value, []) on success, else (failed, diagnostics).
+
+    The totality net: an exception escaping `inner` is a parser bug, and
+    it becomes a D011 diagnostic instead of reaching the caller.
+    """
+    out = _Collector()
+    try:
+        value = inner(text, out)
+    except Exception as err:
+        out.add(0, 0, INTERNAL_ERROR, f"internal parser error: {err!r}")
+    if out.failed:
+        return failed, out.diags
+    return value, []
+
+
+def _lead(text: str) -> int:
+    """Width of the leading whitespace."""
+    return len(text) - len(text.lstrip())
+
+
 def _logical_lines(text: str):
     """(line_number, content) pairs with comments stripped, 1-based."""
     text = text.lstrip("﻿")
@@ -102,28 +125,24 @@ def _logical_lines(text: str):
 def _split_with_columns(text: str, sep: str, base: int) -> list[tuple[str, int]]:
     """Split on a separator, keeping each piece's 1-based source column."""
     pieces = []
-    pos = 0
-    while True:
-        idx = text.find(sep, pos)
-        if idx == -1:
-            pieces.append((text[pos:], base + pos))
-            return pieces
-        pieces.append((text[pos:idx], base + pos))
-        pos = idx + len(sep)
+    for piece in text.split(sep):
+        pieces.append((piece, base))
+        base += len(piece) + len(sep)
+    return pieces
 
 
 def _parse_ms(
     text: str, line: int, column: int, out: _Collector
 ) -> Optional[Multiset]:
     stripped = text.strip()
-    pad = len(text) - len(text.lstrip())
+    at = column + _lead(text)
     if not stripped:
-        out.add(line, column + pad, BAD_MULTISET, "expected a multiset literal")
+        out.add(line, at, BAD_MULTISET, "expected a multiset literal")
         return None
     try:
         return parse_multiset(stripped)
     except MultisetSyntaxError as err:
-        out.add(line, column + pad + err.offset, BAD_MULTISET, str(err))
+        out.add(line, at + err.offset, BAD_MULTISET, str(err))
         return None
 
 
@@ -135,11 +154,11 @@ def parse_structure(
 ) -> Optional[MembraneStructure]:
     """Parse a parenthesized membrane tree such as `1(2 3(4))`."""
     own = out if out is not None else _Collector()
+    before = len(own.diags)
     parent: dict[int, int] = {}
     seen: list[int] = []
     stack: list[int] = []
     prev: Optional[int] = None
-    ok = True
     for tok in _STRUCT_TOKEN.finditer(text):
         at = column + tok.start()
         word = tok.group()
@@ -147,10 +166,8 @@ def parse_structure(
             label = int(word)
             if label == 0:
                 own.add(line, at, BAD_STRUCTURE_TEXT, "membrane labels start at 1")
-                ok = False
             elif label in seen:
                 own.add(line, at, BAD_STRUCTURE_TEXT, f"membrane {label} appears twice")
-                ok = False
             else:
                 seen.append(label)
                 if stack:
@@ -158,56 +175,62 @@ def parse_structure(
                 prev = label
         elif word == "(":
             if prev is None:
-                own.add(
-                    line, at, BAD_STRUCTURE_TEXT, "'(' must follow a membrane label"
-                )
-                ok = False
+                own.add(line, at, BAD_STRUCTURE_TEXT, "'(' must follow a membrane label")
                 break
             stack.append(prev)
             prev = None
         elif word == ")":
             if not stack:
                 own.add(line, at, BAD_STRUCTURE_TEXT, "unbalanced ')'")
-                ok = False
                 break
             stack.pop()
             prev = None
         else:
             own.add(line, at, BAD_STRUCTURE_TEXT, f"unexpected {word!r}")
-            ok = False
             break
-    if ok and stack:
-        own.add(line, column, BAD_STRUCTURE_TEXT, "missing ')'")
-        ok = False
-    if ok and not seen:
-        own.add(line, column, BAD_STRUCTURE_TEXT, "empty membrane structure")
-        ok = False
-    if not ok:
+    if len(own.diags) == before:
+        if stack:
+            own.add(line, column, BAD_STRUCTURE_TEXT, "missing ')'")
+        elif not seen:
+            own.add(line, column, BAD_STRUCTURE_TEXT, "empty membrane structure")
+    if len(own.diags) > before:
         return None
     return MembraneStructure(len(seen), parent)
 
 
 def format_structure(structure: MembraneStructure) -> str:
+    """`1(2 3(4))`; a forest prints its roots in label order, space-separated."""
+
     def render(label: int) -> str:
         children = structure.children(label)
         if not children:
             return str(label)
         return f"{label}({' '.join(render(child) for child in children)})"
 
-    return render(structure.skin)
+    roots = [label for label in structure.labels if label not in structure.parent]
+    return " ".join(render(root) for root in roots)
+
+
+def _parenthesized(
+    text: str, line: int, column: int, example: str, out: _Collector
+) -> Optional[tuple[str, int]]:
+    """A rule's text inside its parentheses and the column of its '('."""
+    stripped = text.strip()
+    at = column + _lead(text)
+    if not (stripped.startswith("(") and stripped.endswith(")")):
+        out.add(line, at, BAD_RULE, f"rules are parenthesized, like {example}")
+        return None
+    return stripped[1:-1], at
 
 
 def _parse_cell_rule_text(
-    text: str, line: int, column: int, region: int, out: _Collector
+    text: str, line: int, column: int, out: _Collector, region: int
 ) -> Optional[CellRule]:
-    stripped = text.strip()
-    pad = len(text) - len(text.lstrip())
-    at = column + pad
-    if not (stripped.startswith("(") and stripped.endswith(")")):
-        out.add(line, at, BAD_RULE, "rules are parenthesized, like (a, out; b, in)")
+    found = _parenthesized(text, line, column, "(a, out; b, in)", out)
+    if found is None:
         return None
-    inner, inner_at = stripped[1:-1], at + 1
-    sides = _split_with_columns(inner, ";", inner_at)
+    inner, at = found
+    sides = _split_with_columns(inner, ";", at + 1)
     if len(sides) > 2:
         out.add(line, at, BAD_RULE, "a rule has at most two sides")
         return None
@@ -222,7 +245,7 @@ def _parse_cell_rule_text(
         if direction not in ("in", "out"):
             out.add(
                 line,
-                dir_at + len(dir_text) - len(dir_text.lstrip()),
+                dir_at + _lead(dir_text),
                 BAD_RULE,
                 f"direction must be 'in' or 'out', got {direction!r}",
             )
@@ -244,9 +267,10 @@ def _parse_cell_rule_text(
 
 def _parse_node(text: str, line: int, column: int, out: _Collector) -> Optional[int]:
     stripped = text.strip()
-    pad = len(text) - len(text.lstrip())
     if not stripped.isdigit():
-        out.add(line, column + pad, BAD_NUMBER, f"expected a node number, got {stripped!r}")
+        out.add(
+            line, column + _lead(text), BAD_NUMBER, f"expected a node number, got {stripped!r}"
+        )
         return None
     return int(stripped)
 
@@ -254,14 +278,11 @@ def _parse_node(text: str, line: int, column: int, out: _Collector) -> Optional[
 def _parse_tissue_rule_text(
     text: str, line: int, column: int, out: _Collector
 ) -> Optional[TissueRule]:
-    stripped = text.strip()
-    pad = len(text) - len(text.lstrip())
-    at = column + pad
-    if not (stripped.startswith("(") and stripped.endswith(")")):
-        out.add(line, at, BAD_RULE, "rules are parenthesized, like (1, a / b, 0)")
+    found = _parenthesized(text, line, column, "(1, a / b, 0)", out)
+    if found is None:
         return None
-    inner, inner_at = stripped[1:-1], at + 1
-    fields = _split_with_columns(inner, ",", inner_at)
+    inner, at = found
+    fields = _split_with_columns(inner, ",", at + 1)
     if len(fields) != 3:
         out.add(line, at, BAD_RULE, "a rule is written (i, x, j) or (i, x / y, j)")
         return None
@@ -289,18 +310,24 @@ def _parse_tissue_rule_text(
 
 _DIRECTIVE = re.compile(r"\s*@([A-Za-z]+)")
 _SINGLETON = ("model", "membranes", "cells", "output")
+_LABEL = re.compile(r"\s*(\d+)\s*:")
+# Per model: the prefix of a rule line, whose groups become the rule
+# reader's trailing int arguments, its usage message, and the reader.
+_RULE_SYNTAX = {
+    "cell": (_LABEL, "@rules is written: @rules LABEL: (rule)", _parse_cell_rule_text),
+    "tissue": (
+        re.compile(r"\s*:"),
+        "@rules is written: @rules: (i, x, j)",
+        _parse_tissue_rule_text,
+    ),
+}
 
 
 def parse_system(
     text: str,
 ) -> tuple[Optional[Union[CellPSystem, TissuePSystem]], list[SourceDiagnostic]]:
     """Parse a `.psys` document. Returns (system, []) or (None, diagnostics)."""
-    out = _Collector()
-    try:
-        return _parse_system_inner(text, out), out.diags
-    except Exception as err:  # totality net; reaching this is a parser bug
-        out.add(0, 0, INTERNAL_ERROR, f"internal parser error: {err!r}")
-        return None, out.diags
+    return _total(_parse_system_inner, text, None)
 
 
 def _parse_system_inner(text: str, out: _Collector):
@@ -317,8 +344,9 @@ def _parse_system_inner(text: str, out: _Collector):
     for line, content in _logical_lines(text):
         m = _DIRECTIVE.match(content)
         if not m:
-            col = len(content) - len(content.lstrip()) + 1
-            out.add(line, col, STRAY_LINE, "expected a line starting with @directive")
+            out.add(
+                line, _lead(content) + 1, STRAY_LINE, "expected a line starting with @directive"
+            )
             continue
         name = m.group(1)
         payload = content[m.end() :]
@@ -330,7 +358,7 @@ def _parse_system_inner(text: str, out: _Collector):
             seen.add(name)
         if name == "model":
             word = payload.strip()
-            if word not in ("cell", "tissue"):
+            if word not in _RULE_SYNTAX:
                 out.add(
                     line, payload_col, BAD_PAYLOAD, "@model must be 'cell' or 'tissue'"
                 )
@@ -339,15 +367,11 @@ def _parse_system_inner(text: str, out: _Collector):
         elif name in ("objects", "env"):
             names = objects if name == "objects" else env
             for tok in re.finditer(r"\S+", payload):
-                if is_valid_name(tok.group()):
-                    names.append(tok.group())
+                word, at = tok.group(), payload_col + tok.start()
+                if is_valid_name(word):
+                    names.append(word)
                 else:
-                    out.add(
-                        line,
-                        payload_col + tok.start(),
-                        BAD_PAYLOAD,
-                        f"invalid object name {tok.group()!r}",
-                    )
+                    out.add(line, at, BAD_PAYLOAD, f"invalid object name {word!r}")
         elif name == "membranes":
             structure_field = (payload, line, payload_col)
         elif name == "cells":
@@ -359,7 +383,7 @@ def _parse_system_inner(text: str, out: _Collector):
             else:
                 cells_field = int(word)
         elif name == "init":
-            m2 = re.match(r"\s*(\d+)\s*:", payload)
+            m2 = _LABEL.match(payload)
             if not m2:
                 out.add(
                     line, payload_col, BAD_PAYLOAD, "@init is written: @init LABEL: multiset"
@@ -385,65 +409,36 @@ def _parse_system_inner(text: str, out: _Collector):
         return None
     if output is None:
         out.add(0, 0, MISSING_DIRECTIVE, "missing @output")
-    structure: Optional[MembraneStructure] = None
     if model == "cell":
+        shape = None
         if cells_field is not None:
             out.add(0, 0, BAD_PAYLOAD, "@cells belongs to tissue systems; use @membranes")
         if structure_field is None:
             out.add(0, 0, MISSING_DIRECTIVE, "missing @membranes")
         else:
-            payload, line, col = structure_field
-            structure = parse_structure(payload, line, col, out)
+            shape = parse_structure(*structure_field, out)
     else:
+        shape = cells_field
         if structure_field is not None:
             out.add(0, 0, BAD_PAYLOAD, "@membranes belongs to cell systems; use @cells")
         if cells_field is None:
             out.add(0, 0, MISSING_DIRECTIVE, "missing @cells")
 
-    cell_rules: list[CellRule] = []
-    tissue_rules: list[TissueRule] = []
+    prefix, usage, read = _RULE_SYNTAX[model]
+    rules = []
     for line, col, payload in rule_lines:
-        if model == "cell":
-            m2 = re.match(r"\s*(\d+)\s*:", payload)
-            if not m2:
-                out.add(
-                    line, col, BAD_RULE, "@rules is written: @rules LABEL: (rule)"
-                )
-                continue
-            region = int(m2.group(1))
-            rule = _parse_cell_rule_text(
-                payload[m2.end() :], line, col + m2.end(), region, out
-            )
-            if rule is not None:
-                cell_rules.append(rule)
-        else:
-            m2 = re.match(r"\s*:", payload)
-            if not m2:
-                out.add(line, col, BAD_RULE, "@rules is written: @rules: (i, x, j)")
-                continue
-            rule = _parse_tissue_rule_text(payload[m2.end() :], line, col + m2.end(), out)
-            if rule is not None:
-                tissue_rules.append(rule)
+        m = prefix.match(payload)
+        if not m:
+            out.add(line, col, BAD_RULE, usage)
+            continue
+        rule = read(payload[m.end() :], line, col + m.end(), out, *map(int, m.groups()))
+        if rule is not None:
+            rules.append(rule)
 
     if out.failed:
         return None
-    if model == "cell":
-        return CellPSystem(
-            alphabet=objects,
-            structure=structure,
-            init=init,
-            env_support=env,
-            rules=cell_rules,
-            output=output,
-        )
-    return TissuePSystem(
-        alphabet=objects,
-        n_cells=cells_field,
-        init=init,
-        env_support=env,
-        rules=tissue_rules,
-        output=output,
-    )
+    system = CellPSystem if model == "cell" else TissuePSystem
+    return system(objects, shape, init, env, rules, output)
 
 
 def print_system(sys: Union[CellPSystem, TissuePSystem]) -> str:
@@ -475,18 +470,12 @@ def parse_interactions(
     text: str,
 ) -> tuple[list[Union[InteractionRule, UniportRule]], list[SourceDiagnostic]]:
     """Parse `.irules` lines like `(a,1)(b,2) -> (a,3)(b,1)`."""
-    out = _Collector()
-    rules: list[Union[InteractionRule, UniportRule]] = []
-    try:
-        for line, content in _logical_lines(text):
-            rule = _parse_interaction_line(content, line, out)
-            if rule is not None:
-                rules.append(rule)
-    except Exception as err:  # totality net; reaching this is a parser bug
-        out.add(0, 0, INTERNAL_ERROR, f"internal parser error: {err!r}")
-    if out.failed:
-        return [], out.diags
-    return rules, out.diags
+    return _total(_parse_interactions_inner, text, [])
+
+
+def _parse_interactions_inner(text: str, out: _Collector):
+    rules = (_parse_interaction_line(content, line, out) for line, content in _logical_lines(text))
+    return [rule for rule in rules if rule is not None]
 
 
 def _side_pieces(
@@ -494,24 +483,18 @@ def _side_pieces(
 ) -> Optional[list[tuple[str, int]]]:
     pieces = []
     pos = 0
-    while pos < len(side):
-        chunk = side[pos:]
-        if not chunk.strip():
-            break
-        m = _PIECE.match(chunk.lstrip())
+    while side[pos:].strip():
+        pos += _lead(side[pos:])
+        m = _PIECE.match(side, pos)
         if not m:
-            at = column + pos + len(chunk) - len(chunk.lstrip())
-            out.add(line, at, BAD_INTERACTION, "expected (object, node)")
+            out.add(line, column + pos, BAD_INTERACTION, "expected (object, node)")
             return None
-        lead = len(chunk) - len(chunk.lstrip())
         name = m.group(1)
         if not is_valid_name(name):
-            out.add(
-                line, column + pos + lead + 1, BAD_INTERACTION, f"invalid object name {name!r}"
-            )
+            out.add(line, column + pos + 1, BAD_INTERACTION, f"invalid object name {name!r}")
             return None
         pieces.append((name, int(m.group(2))))
-        pos += lead + m.end()
+        pos = m.end()
     if not 1 <= len(pieces) <= 2:
         out.add(line, column, BAD_INTERACTION, "each side has one or two (object, node) pairs")
         return None
@@ -523,8 +506,7 @@ def _parse_interaction_line(
 ) -> Optional[Union[InteractionRule, UniportRule]]:
     arrow = content.find("->")
     if arrow == -1:
-        col = len(content) - len(content.lstrip()) + 1
-        out.add(line, col, BAD_INTERACTION, "expected '->' between the two sides")
+        out.add(line, _lead(content) + 1, BAD_INTERACTION, "expected '->' between the two sides")
         return None
     lhs = _side_pieces(content[:arrow], line, 1, out)
     rhs = _side_pieces(content[arrow + 2 :], line, arrow + 3, out)
@@ -559,94 +541,71 @@ def print_interactions(rules: Sequence[Union[InteractionRule, UniportRule]]) -> 
     return "".join(interaction_rule_text(rule) + "\n" for rule in rules)
 
 
-_RM_REGISTERS = re.compile(r"\s*registers\s+(\d+)\s*$")
-_RM_OUTPUT = re.compile(r"\s*output\s+r(\d+)\s*$")
-_RM_START = re.compile(r"\s*start\s+([A-Za-z_][A-Za-z0-9_]*)\s*$")
-_RM_TWO = re.compile(
-    r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(ADD|SUB)\s+r(\d+)\s*->\s*"
-    r"([A-Za-z_][A-Za-z0-9_]*)\s*\|\s*([A-Za-z_][A-Za-z0-9_]*)\s*$",
+_RM_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# The header lines of a `.rm` file: (keyword, pattern, value type, usage).
+_RM_HEADERS = [
+    (key, re.compile(rf"\s*{key}\s+{value}\s*$"), kind, f"'{key} {shape}'")
+    for key, value, kind, shape in (
+        ("registers", r"(\d+)", int, "N"),
+        ("output", r"r(\d+)", int, "rK"),
+        ("start", f"({_RM_NAME})", str, "L"),
+    )
+]
+_RM_INSTRUCTION = re.compile(
+    rf"\s*({_RM_NAME})\s*:\s*"
+    rf"(?:(ADD|SUB)\s+r(\d+)\s*->\s*({_RM_NAME})\s*\|\s*({_RM_NAME})|HALT)\s*$",
     re.IGNORECASE,
 )
-_RM_HALT = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*HALT\s*$", re.IGNORECASE)
+_RM_USAGE = (
+    "expected "
+    + "".join(f"{usage}, " for *_, usage in _RM_HEADERS)
+    + "'L: ADD rK -> A | B', 'L: SUB rK -> NZ | Z', or 'L: HALT'"
+)
 
 
 def parse_machine(
     text: str,
 ) -> tuple[Optional[RegisterMachine], list[SourceDiagnostic]]:
     """Parse a `.rm` register-machine program."""
-    out = _Collector()
-    registers: Optional[int] = None
-    output: Optional[int] = None
-    start: Optional[str] = None
+    return _total(_parse_machine_inner, text, None)
+
+
+def _parse_machine_inner(text: str, out: _Collector):
+    headers: dict[str, Union[int, str]] = {}
     instructions: dict[str, Instruction] = {}
-    try:
-        for line, content in _logical_lines(text):
-            m = _RM_REGISTERS.match(content)
+    for line, content in _logical_lines(text):
+        for key, pattern, kind, _ in _RM_HEADERS:
+            m = pattern.match(content)
             if m:
-                if registers is not None:
-                    out.add(line, 1, DUPLICATE_DIRECTIVE, "'registers' given twice")
-                registers = int(m.group(1))
+                if key in headers:
+                    out.add(line, 1, DUPLICATE_DIRECTIVE, f"'{key}' given twice")
+                headers[key] = kind(m.group(1))
+                break
+        else:
+            m = _RM_INSTRUCTION.match(content)
+            if not m:
+                out.add(line, _lead(content) + 1, BAD_MACHINE_LINE, _RM_USAGE)
                 continue
-            m = _RM_OUTPUT.match(content)
-            if m:
-                if output is not None:
-                    out.add(line, 1, DUPLICATE_DIRECTIVE, "'output' given twice")
-                output = int(m.group(1))
-                continue
-            m = _RM_START.match(content)
-            if m:
-                if start is not None:
-                    out.add(line, 1, DUPLICATE_DIRECTIVE, "'start' given twice")
-                start = m.group(1)
-                continue
-            m = _RM_TWO.match(content)
-            if m:
-                label, op, reg, first, second = m.groups()
-                if label in instructions:
-                    out.add(line, 1, BAD_MACHINE_LINE, f"label {label!r} defined twice")
-                    continue
-                if op.upper() == "ADD":
-                    instructions[label] = Add(int(reg), first, second)
-                else:
-                    instructions[label] = Sub(int(reg), first, second)
-                continue
-            m = _RM_HALT.match(content)
-            if m:
-                label = m.group(1)
-                if label in instructions:
-                    out.add(line, 1, BAD_MACHINE_LINE, f"label {label!r} defined twice")
-                    continue
+            label, op, reg, first, second = m.groups()
+            if label in instructions:
+                out.add(line, 1, BAD_MACHINE_LINE, f"label {label!r} defined twice")
+            elif op is None:
                 instructions[label] = Halt()
-                continue
-            col = len(content) - len(content.lstrip()) + 1
-            out.add(
-                line,
-                col,
-                BAD_MACHINE_LINE,
-                "expected 'registers N', 'output rK', 'start L', "
-                "'L: ADD rK -> A | B', 'L: SUB rK -> NZ | Z', or 'L: HALT'",
-            )
-    except Exception as err:  # totality net; reaching this is a parser bug
-        out.add(0, 0, INTERNAL_ERROR, f"internal parser error: {err!r}")
-        return None, out.diags
-    if registers is None:
-        out.add(0, 0, MISSING_DIRECTIVE, "missing 'registers N'")
-    if output is None:
-        out.add(0, 0, MISSING_DIRECTIVE, "missing 'output rK'")
-    if start is None:
-        out.add(0, 0, MISSING_DIRECTIVE, "missing 'start L'")
+            else:
+                jump = Add if op.upper() == "ADD" else Sub
+                instructions[label] = jump(int(reg), first, second)
+    for key, _, _, usage in _RM_HEADERS:
+        if key not in headers:
+            out.add(0, 0, MISSING_DIRECTIVE, f"missing {usage}")
     if not instructions:
         out.add(0, 0, MISSING_DIRECTIVE, "no instructions")
     if out.failed:
-        return None, out.diags
-    return (
-        RegisterMachine(
-            num_registers=registers,
-            output_register=output,
-            start=start,
-            instructions=instructions,
-        ),
-        [],
+        return None
+    return RegisterMachine(
+        num_registers=headers["registers"],
+        output_register=headers["output"],
+        start=headers["start"],
+        instructions=instructions,
     )
 
 

@@ -404,7 +404,7 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
     for problem in structure_problems:
         out.append(Violation(BAD_STRUCTURE, "structure", problem))
     tree_ok = not structure_problems
-    labels = set(sys.structure.labels) if tree_ok else set()
+    labels = set(sys.structure.labels)
     _check_init(sys.init, labels, sys.alphabet, out)
     for idx, rule in enumerate(sys.rules):
         where = f"rule {idx + 1} at region {rule.region}"

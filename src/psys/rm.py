@@ -29,6 +29,9 @@ from .model import (
 )
 from .multiset import Multiset, is_valid_name
 
+# The most machine states one bounded reachability walk may visit.
+STATE_BOUND = 1_000_000
+
 
 @dataclass(frozen=True)
 class Add:
@@ -100,7 +103,7 @@ def machine_problems(m: RegisterMachine) -> list[str]:
 
 
 def _machine_reach(
-    m: RegisterMachine, value_bound: int, state_bound: int = 1_000_000
+    m: RegisterMachine, value_bound: int
 ) -> tuple[list[tuple[str, tuple[int, ...]]], bool]:
     """The reachable halting (label, registers) states with every register ≤ value_bound."""
     start = (m.start, (0,) * m.num_registers)
@@ -132,7 +135,7 @@ def _machine_reach(
         for state in successors:
             if state in seen:
                 continue
-            if len(seen) >= state_bound:
+            if len(seen) >= STATE_BOUND:
                 exhausted = False
                 continue
             seen.add(state)
@@ -140,9 +143,7 @@ def _machine_reach(
     return halts, exhausted
 
 
-def rm_results(
-    m: RegisterMachine, value_bound: int, state_bound: int = 1_000_000
-) -> tuple[frozenset[int], bool]:
+def rm_results(m: RegisterMachine, value_bound: int) -> tuple[frozenset[int], bool]:
     """Output values over halting runs, registers pruned above value_bound.
 
     exhausted=False means some run was cut off by a bound, so values
@@ -151,7 +152,7 @@ def rm_results(
     problems = machine_problems(m)
     if problems:
         raise ValueError("; ".join(problems))
-    halts, exhausted = _machine_reach(m, value_bound, state_bound)
+    halts, exhausted = _machine_reach(m, value_bound)
     return frozenset(regs[m.output_register - 1] for _, regs in halts), exhausted
 
 
@@ -280,7 +281,6 @@ class VerificationReport:
 def verify_compilation(
     m: RegisterMachine,
     value_bound: int = 8,
-    budget: Optional[ExploreBudget] = None,
     compiled: Optional[CompiledSystem] = None,
 ) -> VerificationReport:
     """Bounded equivalence audit of the compiler on one machine.
@@ -316,10 +316,9 @@ def verify_compilation(
                 "the machine is not in compiler normal form"
             )
             break
-    if budget is None:
-        budget = ExploreBudget(
-            max_depth=10_000, max_total_objects=m.num_registers * value_bound + 2
-        )
+    budget = ExploreBudget(
+        max_depth=10_000, max_total_objects=m.num_registers * value_bound + 2
+    )
     outcome = explore(compiled.system, budget)
     allowed = set(range(value_bound + 1))
     machine_cut = frozenset(machine_results) & frozenset(allowed)

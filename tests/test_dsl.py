@@ -161,6 +161,15 @@ def test_structure_literal_nesting():
     assert format_structure(sys.structure) == "1(2 3(4))"
 
 
+def test_forest_prints_every_root_and_round_trips():
+    # Parsing accepts a forest; validation is what rejects it.
+    text = EXAMPLE.replace("@membranes 1", "@membranes 1(3) 2")
+    sys = parsed_ok(text)
+    assert sys.structure == MembraneStructure(3, {3: 1})
+    assert "@membranes 1(3) 2\n" in print_system(sys)
+    assert parsed_ok(print_system(sys)) == sys
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = (
         "# a system\n\n@model cell  # the variant\n@objects a\n@env\n"

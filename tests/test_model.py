@@ -177,6 +177,22 @@ def test_broken_structure_short_circuits_region_checks():
     assert OUTPUT_OUT_OF_RANGE not in got
 
 
+def test_malformed_tree_still_checks_init_labels():
+    # `@membranes 1 2` parses to this forest: regions 1 and 2 exist, 3 does not.
+    forest = CellPSystem(
+        alphabet=["a"],
+        structure=MembraneStructure(2, {}),
+        init={1: ms("a"), 3: ms("a")},
+        env_support=[],
+        rules=[],
+        output=2,
+    )
+    report = validate_cell(forest)
+    unknown = [v.location for v in report.violations if v.code == UNKNOWN_INIT_REGION]
+    assert BAD_STRUCTURE in codes(report)
+    assert unknown == ["init 3"]
+
+
 def test_report_str_mentions_code_and_location():
     sys = one_membrane([CellRule(1, SymportIn(ms("e")))])
     text = str(validate_cell(sys))
