@@ -51,6 +51,7 @@ from .multiset import (
     MultisetSyntaxError,
     format_multiset,
     is_valid_name,
+    parse_count,
     parse_multiset,
 )
 from .rm import Add, Halt, Instruction, RegisterMachine, Sub
@@ -162,8 +163,8 @@ def parse_structure(
     for tok in _STRUCT_TOKEN.finditer(text):
         at = column + tok.start()
         word = tok.group()
-        if word.isdigit():
-            label = int(word)
+        label = parse_count(word)
+        if label is not None:
             if label == 0:
                 own.add(line, at, BAD_STRUCTURE_TEXT, "membrane labels start at 1")
             elif label in seen:
@@ -267,12 +268,12 @@ def _parse_cell_rule_text(
 
 def _parse_node(text: str, line: int, column: int, out: _Collector) -> Optional[int]:
     stripped = text.strip()
-    if not stripped.isdigit():
+    node = parse_count(stripped)
+    if node is None:
         out.add(
             line, column + _lead(text), BAD_NUMBER, f"expected a node number, got {stripped!r}"
         )
-        return None
-    return int(stripped)
+    return node
 
 
 def _parse_tissue_rule_text(
@@ -375,32 +376,30 @@ def _parse_system_inner(text: str, out: _Collector):
         elif name == "membranes":
             structure_field = (payload, line, payload_col)
         elif name == "cells":
-            word = payload.strip()
-            if not word.isdigit() or int(word) < 1:
+            count = parse_count(payload.strip())
+            if count is None or count < 1:
                 out.add(
                     line, payload_col, BAD_NUMBER, "@cells takes a positive cell count"
                 )
             else:
-                cells_field = int(word)
+                cells_field = count
         elif name == "init":
             m2 = _LABEL.match(payload)
-            if not m2:
+            label = parse_count(m2.group(1)) if m2 else None
+            if label is None:
                 out.add(
                     line, payload_col, BAD_PAYLOAD, "@init is written: @init LABEL: multiset"
                 )
                 continue
-            label = int(m2.group(1))
             ms = _parse_ms(payload[m2.end() :], line, payload_col + m2.end(), out)
             if ms is not None:
                 init[label] = init.get(label, Multiset()) + ms
         elif name == "rules":
             rule_lines.append((line, payload_col, payload))
         elif name == "output":
-            word = payload.strip()
-            if not word.isdigit():
+            output = parse_count(payload.strip())
+            if output is None:
                 out.add(line, payload_col, BAD_NUMBER, "@output takes a region label")
-            else:
-                output = int(word)
         else:
             out.add(line, 1, UNKNOWN_DIRECTIVE, f"unknown directive @{name}")
 
@@ -428,10 +427,11 @@ def _parse_system_inner(text: str, out: _Collector):
     rules = []
     for line, col, payload in rule_lines:
         m = prefix.match(payload)
-        if not m:
+        numbers = [parse_count(group) for group in m.groups()] if m else [None]
+        if None in numbers:
             out.add(line, col, BAD_RULE, usage)
             continue
-        rule = read(payload[m.end() :], line, col + m.end(), out, *map(int, m.groups()))
+        rule = read(payload[m.end() :], line, col + m.end(), out, *numbers)
         if rule is not None:
             rules.append(rule)
 
@@ -486,14 +486,15 @@ def _side_pieces(
     while side[pos:].strip():
         pos += _lead(side[pos:])
         m = _PIECE.match(side, pos)
-        if not m:
+        node = parse_count(m.group(2)) if m else None
+        if node is None:
             out.add(line, column + pos, BAD_INTERACTION, "expected (object, node)")
             return None
         name = m.group(1)
         if not is_valid_name(name):
             out.add(line, column + pos + 1, BAD_INTERACTION, f"invalid object name {name!r}")
             return None
-        pieces.append((name, int(m.group(2))))
+        pieces.append((name, node))
         pos = m.end()
     if not 1 <= len(pieces) <= 2:
         out.add(line, column, BAD_INTERACTION, "each side has one or two (object, node) pairs")
@@ -546,8 +547,8 @@ _RM_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _RM_HEADERS = [
     (key, re.compile(rf"\s*{key}\s+{value}\s*$"), kind, f"'{key} {shape}'")
     for key, value, kind, shape in (
-        ("registers", r"(\d+)", int, "N"),
-        ("output", r"r(\d+)", int, "rK"),
+        ("registers", r"(\d+)", parse_count, "N"),
+        ("output", r"r(\d+)", parse_count, "rK"),
         ("start", f"({_RM_NAME})", str, "L"),
     )
 ]
@@ -576,24 +577,26 @@ def _parse_machine_inner(text: str, out: _Collector):
     for line, content in _logical_lines(text):
         for key, pattern, kind, _ in _RM_HEADERS:
             m = pattern.match(content)
-            if m:
+            value = kind(m.group(1)) if m else None
+            if value is not None:
                 if key in headers:
                     out.add(line, 1, DUPLICATE_DIRECTIVE, f"'{key}' given twice")
-                headers[key] = kind(m.group(1))
+                headers[key] = value
                 break
         else:
             m = _RM_INSTRUCTION.match(content)
-            if not m:
+            label, op, reg, first, second = m.groups() if m else (None,) * 5
+            register = None if reg is None else parse_count(reg)
+            if not m or (op and register is None):
                 out.add(line, _lead(content) + 1, BAD_MACHINE_LINE, _RM_USAGE)
                 continue
-            label, op, reg, first, second = m.groups()
             if label in instructions:
                 out.add(line, 1, BAD_MACHINE_LINE, f"label {label!r} defined twice")
             elif op is None:
                 instructions[label] = Halt()
             else:
                 jump = Add if op.upper() == "ADD" else Sub
-                instructions[label] = jump(int(reg), first, second)
+                instructions[label] = jump(register, first, second)
     for key, _, _, usage in _RM_HEADERS:
         if key not in headers:
             out.add(0, 0, MISSING_DIRECTIVE, f"missing {usage}")

@@ -360,6 +360,10 @@ class Engine:
         """(rule index, largest standalone multiplicity) of every applicable rule."""
         out = []
         for index, need in enumerate(self._takes):
+            # Most rules fail on their first object; only an empty take
+            # table (an unbounded rule) must reach _bound to be reported.
+            if need and pools[need[0][0]] < need[0][1]:
+                continue
             bound = _bound(need, pools)
             if bound is None:
                 raise _unbounded(self.rules[index])
@@ -389,9 +393,13 @@ class Engine:
         work limit was hit on a pathologically wide configuration.
         """
         held = self._counts(c)[1]
-        in_play = [(index, self._takes[index]) for index, _ in self._enabled(held)]
-        if not in_play:
+        enabled = self._enabled(held)
+        if not enabled:
             return (), True
+        if len(enabled) == 1:
+            # One rule in play: its top multiplicity is the only maximal step.
+            return ((StepChoice(tuple(enabled)),), True) if cap >= 1 else ((), False)
+        in_play = [(index, self._takes[index]) for index, _ in enabled]
         pools = list(held)
         counts = [0] * len(in_play)
         choices: list[StepChoice] = []

@@ -111,15 +111,21 @@ def _walk(
     queue: deque[tuple[Configuration, int]] = deque([(start, 0)])
     while queue:
         config, depth = queue.popleft()
-        steps, complete = engine.maximal_steps(config, cap=budget.max_branches)
-        if stop_at_branching and len(steps) > 1:
-            witness = config
-            break
-        if not steps:
+        over = config.total_tracked > budget.max_total_objects
+        if over and not stop_at_branching:
+            # Past the object budget only halting counts: skip the listing.
+            halted = engine.is_halted(config)
+        else:
+            steps, complete = engine.maximal_steps(config, cap=budget.max_branches)
+            if stop_at_branching and len(steps) > 1:
+                witness = config
+                break
+            halted = not steps
+        if halted:
             halting_leaves += 1
             results.add(config.region_size(engine.output))
             continue
-        if config.total_tracked > budget.max_total_objects:
+        if over:
             cut_branches += 1
             continue
         if not complete:

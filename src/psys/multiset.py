@@ -10,7 +10,7 @@ order so downstream enumeration is reproducible.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -122,6 +122,21 @@ class Multiset:
 EMPTY = Multiset()
 
 
+def parse_count(text: str) -> Optional[int]:
+    """`text` as a decimal number, or None when it is not one.
+
+    Every decimal conversion of the text formats goes through here. None
+    also covers what `isdigit` passes and `int` refuses: digits such as
+    `²`, and more digits than Python's integer-string conversion limit.
+    """
+    if text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_multiset(text: str) -> Multiset:
     """Parse a multiset literal.
 
@@ -141,11 +156,11 @@ def parse_multiset(text: str) -> Multiset:
         if not is_valid_name(name):
             raise MultisetSyntaxError(f"invalid object name {name!r}", offset)
         if sep:
-            if not raw_count.isdigit():
+            k = parse_count(raw_count)
+            if k is None:
                 raise MultisetSyntaxError(
                     f"invalid multiplicity {raw_count!r} for {name!r}", offset
                 )
-            k = int(raw_count)
             if k == 0:
                 raise MultisetSyntaxError(
                     f"zero multiplicity for {name!r}; omit the item instead", offset

@@ -183,8 +183,9 @@ def test_run_region_without_accept_exits_one(tmp_path, capsys):
     [
         (["--region", "1"], "error: --region requires --accept"),
         (["--accept", "a^0", "--region", "1"], "error: bad --accept multiset: "),
+        (["--accept", "a^" + "9" * 5_000, "--region", "1"], "error: bad --accept multiset: "),
     ],
-    ids=["region-alone", "bad-accept"],
+    ids=["region-alone", "bad-accept", "accept-past-int-digit-limit"],
 )
 def test_run_flag_errors_come_before_reading_the_file(tmp_path, capsys, flags, message):
     # Exit 1 like argparse's own usage errors, not 2 for the system failing validation.

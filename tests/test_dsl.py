@@ -353,6 +353,36 @@ def test_machine_diagnostics():
     assert any(d.code == BAD_MACHINE_LINE and "p0" in d.message for d in diags)
 
 
+# ---------------------------------------------------------------- numbers
+
+# Every place the three formats read a number, as a template for it.
+NUMBER_PLACES = [
+    (parse_system, EXAMPLE.replace("@membranes 1", "@membranes {}")),
+    (parse_system, EXAMPLE.replace("@init 1:", "@init {}:")),
+    (parse_system, EXAMPLE.replace("@init 1: empty", "@init 1: a^{}")),
+    (parse_system, EXAMPLE.replace("@rules 1:", "@rules {}:")),
+    (parse_system, EXAMPLE.replace("@output 1", "@output {}")),
+    (parse_system, "@model tissue\n@objects a\n@cells {}\n@output 1\n"),
+    (parse_system, "@model tissue\n@objects a\n@cells 1\n@rules: ({}, a, 0)\n@output 1\n"),
+    (parse_interactions, "(a,{}) -> (a,1)\n"),
+    (parse_machine, MACHINE_TEXT.replace("registers 1", "registers {}")),
+    (parse_machine, MACHINE_TEXT.replace("output r1", "output r{}")),
+    (parse_machine, MACHINE_TEXT.replace("ADD r1", "ADD r{}")),
+]
+
+
+def test_numbers_int_refuses_get_the_malformed_number_diagnostic():
+    # More digits than int()'s 4,300-digit limit, and a digit int() does
+    # not read, each get the located diagnostic a malformed number gets.
+    for number in ("9" * 5_000, "\u00b2"):
+        for parse, template in NUMBER_PLACES:
+            _, diags = parse(template.format(number))
+            _, malformed = parse(template.format("x"))
+            assert malformed, template
+            located = [(d.line, d.column, d.code) for d in diags]
+            assert located == [(d.line, d.column, d.code) for d in malformed], template
+
+
 # ---------------------------------------------------------------- totality
 
 

@@ -182,6 +182,20 @@ def test_nondeterministic_with_witness():
     assert verdict.witness.regions[1] == ms("a b")
 
 
+def test_over_budget_start_with_two_steps():
+    # The start holds 2 objects against a budget of 1 and has two maximal
+    # steps: the determinism check still names it as its witness, while
+    # explore cuts it once without listing its steps.
+    sys = flat([SymportOut(ms("a b")), SymportOut(ms("a"))], "a b")
+    budget = ExploreBudget(max_total_objects=1)
+    verdict = check_deterministic(sys, budget)
+    assert verdict.status == "nondeterministic"
+    assert verdict.witness == Engine(sys).initial()
+    outcome = explore(sys, budget)
+    assert outcome.cut_branches == 1 and outcome.halting_leaves == 0
+    assert outcome.results == frozenset() and not outcome.exhausted
+
+
 def test_determinism_unknown_under_tiny_budget():
     verdict = check_deterministic(growing_system(), ExploreBudget(max_configs=1))
     assert verdict.status == "unknown"

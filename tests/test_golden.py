@@ -21,7 +21,8 @@ from psys.dsl import (
     print_system,
 )
 from psys.engine import Engine
-from psys.multiset import format_multiset
+from psys.explore import ExploreBudget, check_deterministic, decide_accept, explore
+from psys.multiset import Multiset, format_multiset
 
 from gen import (
     junk_text,
@@ -111,6 +112,52 @@ def test_ordered_choices_and_greedy_steps_are_pinned():
         digest.update(repr(record).encode())
     assert states >= 2_000 and truncated >= 200
     assert digest.hexdigest() == ORDERED_DIGEST
+
+
+# Budgets from tight to loose: the tight ones put start configurations
+# over the object budget and cut walks by depth, truncated listings and
+# the configuration limit.
+WALK_BUDGETS = (
+    ExploreBudget(max_depth=2, max_total_objects=3, max_branches=1, max_configs=4),
+    ExploreBudget(max_depth=4, max_total_objects=6, max_branches=2, max_configs=20),
+    ExploreBudget(max_depth=12, max_total_objects=12, max_branches=50, max_configs=300),
+)
+
+# sha256 of every walk's outcome below over the seeded population. A
+# change to it changes a result set, a cut count, a visited count, a
+# determinism verdict or its witness, or an acceptance answer.
+WALK_DIGEST = "32bde3929d09883695fdf391c467c2e6ae048d4de3e7984550a6d0519e2923b9"
+
+
+def _counts(c):
+    """A configuration as text that does not depend on its slot layout."""
+    regions = sorted((label, format_multiset(ms)) for label, ms in c.regions.items())
+    return repr((regions, format_multiset(c.env.finite)))
+
+
+def test_walk_outcomes_are_pinned():
+    rng = random.Random(909)
+    digest = hashlib.sha256()
+    seen = {"start_over_budget": 0, "cut": 0, "nondeterministic": 0, "unknown": 0}
+    for k in range(400):
+        sys = random_shared_system(rng) if k % 2 else random_system(rng)
+        eng = Engine(sys)
+        region = rng.choice(list(eng.labels))
+        names = sorted(sys.alphabet)
+        given = Multiset({rng.choice(names): rng.randint(1, 4)}) if names else Multiset()
+        for budget in WALK_BUDGETS:
+            outcome = explore(eng, budget)
+            verdict = check_deterministic(eng, budget)
+            witness = None if verdict.witness is None else _counts(verdict.witness)
+            accept = decide_accept(eng, given, region, budget)
+            record = (outcome.as_dict(), verdict.status, witness, accept)
+            digest.update(repr(record).encode())
+            seen["start_over_budget"] += eng.initial().total_tracked > budget.max_total_objects
+            seen["cut"] += outcome.cut_branches > 0
+            seen["nondeterministic"] += verdict.status == "nondeterministic"
+            seen["unknown"] += verdict.status == "unknown" or accept == "unknown"
+    assert min(seen.values()) >= 50, seen
+    assert digest.hexdigest() == WALK_DIGEST
 
 
 def choice_set(choices):

@@ -100,6 +100,14 @@ def test_parse_errors_carry_offsets():
         parse_multiset("a^-1")
 
 
+def test_counts_int_refuses_are_syntax_errors():
+    # Past int()'s 4,300-digit limit, or a digit int() does not read.
+    for count in ("9" * 5_000, "\u00b2"):
+        with pytest.raises(MultisetSyntaxError) as info:
+            parse_multiset(f"b a^{count}")
+        assert info.value.offset == 2
+
+
 def test_format():
     assert format_multiset(EMPTY) == "empty"
     assert format_multiset(Multiset({"b": 1, "a": 3})) == "a^3 b"
