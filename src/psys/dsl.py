@@ -53,6 +53,7 @@ from .multiset import (
     is_valid_name,
     parse_count,
     parse_multiset,
+    quoted,
 )
 from .rm import Add, Halt, Instruction, RegisterMachine, Sub
 
@@ -187,7 +188,7 @@ def parse_structure(
             stack.pop()
             prev = None
         else:
-            own.add(line, at, BAD_STRUCTURE_TEXT, f"unexpected {word!r}")
+            own.add(line, at, BAD_STRUCTURE_TEXT, f"unexpected {quoted(word)}")
             break
     if len(own.diags) == before:
         if stack:
@@ -201,15 +202,23 @@ def parse_structure(
 
 def format_structure(structure: MembraneStructure) -> str:
     """`1(2 3(4))`; a forest prints its roots in label order, space-separated."""
+    below: dict[int, list[int]] = {}
+    for child, parent in sorted(structure.parent.items()):
+        below.setdefault(parent, []).append(child)
 
-    def render(label: int) -> str:
-        children = structure.children(label)
-        if not children:
-            return str(label)
-        return f"{label}({' '.join(render(child) for child in children)})"
+    def spaced(labels: list[int]) -> list:
+        """`labels` with " " between them, last first, ready to pop."""
+        return [piece for label in reversed(labels) for piece in (label, " ")][:-1]
 
-    roots = [label for label in structure.labels if label not in structure.parent]
-    return " ".join(render(root) for root in roots)
+    # A stack instead of recursion, so a tree of any depth prints.
+    todo = spaced([label for label in structure.labels if label not in structure.parent])
+    pieces = []
+    while todo:
+        item = todo.pop()
+        pieces.append(str(item))
+        if item in below:  # a label with children; the text pieces are never keys
+            todo += [")", *spaced(below[item]), "("]
+    return "".join(pieces)
 
 
 def _parenthesized(
@@ -248,7 +257,7 @@ def _parse_cell_rule_text(
                 line,
                 dir_at + _lead(dir_text),
                 BAD_RULE,
-                f"direction must be 'in' or 'out', got {direction!r}",
+                f"direction must be 'in' or 'out', got {quoted(direction)}",
             )
             return None
         objects = _parse_ms(ms_text, line, ms_at, out)
@@ -270,9 +279,8 @@ def _parse_node(text: str, line: int, column: int, out: _Collector) -> Optional[
     stripped = text.strip()
     node = parse_count(stripped)
     if node is None:
-        out.add(
-            line, column + _lead(text), BAD_NUMBER, f"expected a node number, got {stripped!r}"
-        )
+        message = f"expected a node number, got {quoted(stripped)}"
+        out.add(line, column + _lead(text), BAD_NUMBER, message)
     return node
 
 
@@ -372,7 +380,7 @@ def _parse_system_inner(text: str, out: _Collector):
                 if is_valid_name(word):
                     names.append(word)
                 else:
-                    out.add(line, at, BAD_PAYLOAD, f"invalid object name {word!r}")
+                    out.add(line, at, BAD_PAYLOAD, f"invalid object name {quoted(word)}")
         elif name == "membranes":
             structure_field = (payload, line, payload_col)
         elif name == "cells":
@@ -492,7 +500,7 @@ def _side_pieces(
             return None
         name = m.group(1)
         if not is_valid_name(name):
-            out.add(line, column + pos + 1, BAD_INTERACTION, f"invalid object name {name!r}")
+            out.add(line, column + pos + 1, BAD_INTERACTION, f"invalid object name {quoted(name)}")
             return None
         pieces.append((name, node))
         pos = m.end()
@@ -527,7 +535,7 @@ def _parse_interaction_line(
                 line,
                 1,
                 BAD_INTERACTION,
-                f"objects must keep their positions: {left_name!r} vs {right_name!r}",
+                f"objects must keep their positions: {quoted(left_name)} vs {quoted(right_name)}",
             )
             return None
     if len(lhs) == 1:
@@ -591,7 +599,7 @@ def _parse_machine_inner(text: str, out: _Collector):
                 out.add(line, _lead(content) + 1, BAD_MACHINE_LINE, _RM_USAGE)
                 continue
             if label in instructions:
-                out.add(line, 1, BAD_MACHINE_LINE, f"label {label!r} defined twice")
+                out.add(line, 1, BAD_MACHINE_LINE, f"label {quoted(label)} defined twice")
             elif op is None:
                 instructions[label] = Halt()
             else:

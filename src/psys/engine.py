@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .model import (
     CellAntiport,
@@ -44,19 +43,12 @@ class UnboundedStepError(Exception):
     """
 
 
-def _ordered(pairs: Iterable[tuple[int, str]]) -> tuple[tuple[int, str], ...]:
-    """Slot order: regions first in label order, then the environment (node 0); names sorted."""
-    ordered = sorted(pairs)
-    env = bisect_left(ordered, (1,))
-    return tuple(ordered[env:] + ordered[:env])
-
-
 class _Layout:
     """Integer slots for the tracked objects of one set of configurations.
 
     A slot is a (node, name) pair, node 0 being the environment's finite
     remainder. An engine lays out every pair its initial contents and its
-    rules name, in `_ordered` order. Input objects outside that layout get
+    rules name, in (node, name) order. Input objects outside that layout get
     slots appended to a copy of it, whose `base` is the engine's layout,
     so every slot index of the engine's rules stays valid.
     """
@@ -102,7 +94,7 @@ class Configuration:
     def __init__(self, regions: Mapping[int, Multiset], env: EnvContent):
         entries = {(label, name): k for label, ms in regions.items() for name, k in ms.items()}
         entries.update(((0, name), k) for name, k in env.finite.items())
-        slots = _ordered(entries)
+        slots = tuple(sorted(entries))
         layout = _Layout(slots, tuple(regions), env.infinite)
         self._set(layout, tuple([entries[pair] for pair in slots]))
 
@@ -301,7 +293,7 @@ class Engine:
             takes.append(take)
             gives.append(give)
         self.rules = tuple(rules)
-        slots = _ordered(start.keys() | {pair for table in takes + gives for pair in table})
+        slots = tuple(sorted(start.keys() | {pair for table in takes + gives for pair in table}))
         self._layout = layout = _Layout(slots, tuple(self.labels), unlimited)
         index = layout.index
         self._takes, self._gives = (

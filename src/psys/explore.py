@@ -188,7 +188,10 @@ def check_deterministic(
     it visits exactly the configurations of the single computation.
     """
     engine = _engine(sys)
-    outcome, witness = _walk(engine, engine.initial(), budget, stop_at_branching=True)
+    return _verdict(*_walk(engine, engine.initial(), budget, stop_at_branching=True))
+
+
+def _verdict(outcome: ExploreOutcome, witness: Optional[Configuration]) -> DeterminismVerdict:
     if witness is not None:
         return DeterminismVerdict("nondeterministic", witness)
     if outcome.exhausted:
@@ -302,8 +305,8 @@ def harness_deterministic_minimal(
 
     Each corpus entry must use only minimal rules (symport of at most
     two objects, one-for-one antiport), be deterministic within the
-    budget, and halt; the harness then replays its single run and
-    checks the inside total against the initial total at every step.
+    budget, and halt; the harness checks the inside total against the
+    initial total on every step of its single computation.
     """
     violations: list[str] = []
     for k, sys in enumerate(corpus):
@@ -315,27 +318,25 @@ def harness_deterministic_minimal(
             violations.append(f"system {k}: invalid: {report}")
             continue
         engine = Engine(sys)
-        verdict = check_deterministic(engine, budget)
+        start = engine.initial()
+        exceeds: list[str] = []
+
+        def watch_edge(config, choice, successor, _k=k, _total=start.total_inside):
+            if successor.total_inside > _total:
+                exceeds.append(
+                    f"system {_k}: inside total {successor.total_inside} exceeds initial {_total}"
+                )
+
+        # Stopping at the first branching, the walk sees each edge of the single computation once.
+        outcome, witness = _walk(engine, start, budget, watch_edge, stop_at_branching=True)
+        verdict = _verdict(outcome, witness)
         if verdict.status != "deterministic_up_to_budget":
             violations.append(
                 f"system {k}: not certified deterministic ({verdict.status})"
             )
             continue
-        config = engine.initial()
-        initial_total = config.total_inside
-        halted = False
-        for _ in range(budget.max_depth):
-            steps, _complete = engine.maximal_steps(config, cap=budget.max_branches)
-            if not steps:
-                halted = True
-                break
-            config = engine.apply(config, steps[0])
-            if config.total_inside > initial_total:
-                violations.append(
-                    f"system {k}: inside total {config.total_inside} exceeds "
-                    f"initial {initial_total}"
-                )
-        if not halted:
+        violations += exceeds
+        if not outcome.halting_leaves:
             violations.append(
                 f"system {k}: no halting computation within {budget.max_depth} steps; "
                 "corpus entries must halt"

@@ -9,17 +9,15 @@ numbers, and the two are never mixed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 from .model import (
-    CellAntiport,
     CellPSystem,
     CellRule,
     InteractionRule,
     SymportIn,
     SymportOut,
-    TissueAntiport,
     TissuePSystem,
     TissueRule,
     TissueSymport,
@@ -75,15 +73,7 @@ class ComplexityProfile:
     antiport_measure: str  # "max" for cell systems, "sum" for tissue
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "max_symport_size": self.max_symport_size,
-            "max_antiport_size": self.max_antiport_size,
-            "num_objects": self.num_objects,
-            "num_rules": self.num_rules,
-            "antiport_measure": self.antiport_measure,
-        }
+        return asdict(self)
 
 
 def profile(sys: Union[CellPSystem, TissuePSystem]) -> ComplexityProfile:

@@ -14,7 +14,7 @@ raise on bad systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .multiset import EMPTY, Multiset, format_multiset, is_valid_name
 
@@ -103,17 +103,20 @@ class MembraneStructure:
             out.append(f"expected exactly one skin membrane, found {sorted(roots)}")
         if out:
             return out
-        # Walk up from every label; a tree reaches the root without repeats.
-        root = next(iter(roots))
-        for label in labels:
-            seen = set()
+        # Walk up from every label until a label already judged, so each
+        # label is walked once.
+        reaches = dict.fromkeys(roots, True)
+        for label in self.labels:
+            chain = []
             node = label
-            while node != root:
-                if node in seen:
-                    out.append(f"parent chain from membrane {label} loops")
-                    break
-                seen.add(node)
+            while node not in reaches:
+                reaches[node] = False  # met again on this chain: a loop
+                chain.append(node)
                 node = self.parent[node]
+            if reaches[node]:
+                reaches.update(dict.fromkeys(chain, True))
+            else:
+                out.append(f"parent chain from membrane {label} loops")
         return out
 
     @property
@@ -331,65 +334,68 @@ def interaction_rule_text(rule: Union[InteractionRule, UniportRule]) -> str:
     )
 
 
-def _check_names(alphabet: Iterable[str], env_support: Iterable[str], out: list[Violation]):
-    for name in sorted(alphabet):
-        if not is_valid_name(name):
-            out.append(
-                Violation(BAD_OBJECT_NAME, "alphabet", f"invalid object name {name!r}")
-            )
-    stray = sorted(set(env_support) - set(alphabet))
-    if stray:
-        out.append(
-            Violation(
-                ENV_NOT_IN_ALPHABET,
-                "environment",
-                f"environment objects not in the alphabet: {stray}",
-            )
-        )
-
-
 def _check_objects(ms: Multiset, alphabet: frozenset[str], where: str, out: list[Violation]):
     unknown = sorted(name for name, _ in ms.items() if name not in alphabet)
     if unknown:
-        out.append(
-            Violation(OBJECT_NOT_DECLARED, where, f"undeclared objects: {unknown}")
-        )
+        out.append(Violation(OBJECT_NOT_DECLARED, where, f"undeclared objects: {unknown}"))
 
 
-def _check_sides(rule, alphabet: frozenset[str], where: str, out: list[Violation]):
-    """Each side of a symport or antiport, cell or tissue, is non-empty and declared."""
-    if isinstance(rule, (CellAntiport, TissueAntiport)):
-        sides = (rule.outbound, rule.inbound)
+# A symport out of node 0 may not draw only on the unlimited supply.
+_UNLIMITED_PULL = {
+    SymportIn: (
+        SKIN_PULLS_UNLIMITED,
+        "symport-in at the skin may not draw only on the unlimited environment supply",
+    ),
+    TissueSymport: (
+        ENV_SYMPORT_UNLIMITED,
+        "symport out of the environment may not draw only on the unlimited supply",
+    ),
+}
+
+
+def _check_move(form, src: Optional[int], sys, where: str, out: list[Violation]):
+    """A symport or antiport, cell form or tissue rule, that moves objects out of `src`."""
+    if isinstance(form, (CellAntiport, TissueAntiport)):
+        sides = (form.outbound, form.inbound)
     else:
-        sides = (rule.objects,)
+        sides = (form.objects,)
     for side in sides:
         if not side:
             out.append(Violation(EMPTY_RULE_SIDE, where, "rule sides must be non-empty"))
-        _check_objects(side, alphabet, where, out)
+        _check_objects(side, sys.alphabet, where, out)
+    pull = _UNLIMITED_PULL.get(type(form)) if src == 0 else None
+    if pull and form.objects and all(name in sys.env_support for name in form.objects.support()):
+        code, message = pull
+        out.append(Violation(code, where, message))
 
 
-def _pulls_only_unlimited(rule, src: Optional[int], env_support: frozenset[str]) -> bool:
-    """A symport (cell form or tissue rule) out of node 0 over unlimited objects only."""
-    return (
-        src == 0
-        and isinstance(rule, (SymportIn, TissueSymport))
-        and bool(rule.objects)
-        and all(name in env_support for name in rule.objects.support())
-    )
+def _validate(sys, shape, regions, output, check_rule) -> ValidationReport:
+    """Every kind's checks in one order: names, shape, init, rules, output.
 
-
-def _check_init(init, valid_regions, alphabet, out: list[Violation]):
-    for label in sorted(init):
-        if label not in valid_regions:
-            out.append(
-                Violation(
-                    UNKNOWN_INIT_REGION,
-                    f"init {label}",
-                    f"no region labeled {label}",
-                )
-            )
+    `shape` and `output` are the violations of the region layout and of
+    the output label, `regions` the labels init may name, and
+    check_rule(idx, rule, out) reports one rule's violations.
+    """
+    out = [
+        Violation(BAD_OBJECT_NAME, "alphabet", f"invalid object name {name!r}")
+        for name in sorted(sys.alphabet)
+        if not is_valid_name(name)
+    ]
+    stray = sorted(set(sys.env_support) - set(sys.alphabet))
+    if stray:
+        message = f"environment objects not in the alphabet: {stray}"
+        out.append(Violation(ENV_NOT_IN_ALPHABET, "environment", message))
+    out.extend(shape)
+    for label in sorted(sys.init):
+        if label in regions:
+            _check_objects(sys.init[label], sys.alphabet, f"init {label}", out)
         else:
-            _check_objects(init[label], alphabet, f"init {label}", out)
+            message = f"no region labeled {label}"
+            out.append(Violation(UNKNOWN_INIT_REGION, f"init {label}", message))
+    for idx, rule in enumerate(sys.rules):
+        check_rule(idx, rule, out)
+    out.extend(output)
+    return ValidationReport(tuple(out))
 
 
 def validate_cell(sys: CellPSystem) -> ValidationReport:
@@ -398,137 +404,78 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
     Violations are reported with their location; an empty report means
     the system is well formed and safe to hand to the engine.
     """
-    out: list[Violation] = []
-    _check_names(sys.alphabet, sys.env_support, out)
-    structure_problems = sys.structure.problems()
-    for problem in structure_problems:
-        out.append(Violation(BAD_STRUCTURE, "structure", problem))
-    tree_ok = not structure_problems
+    problems = sys.structure.problems()
+    tree_ok = not problems
     labels = set(sys.structure.labels)
-    _check_init(sys.init, labels, sys.alphabet, out)
-    for idx, rule in enumerate(sys.rules):
+
+    def check_rule(idx, rule, out):
         where = f"rule {idx + 1} at region {rule.region}"
         if tree_ok and rule.region not in labels:
-            out.append(
-                Violation(NODE_OUT_OF_RANGE, where, f"no membrane labeled {rule.region}")
-            )
-            continue
-        _check_sides(rule.form, sys.alphabet, where, out)
-        src = cell_channel(sys.structure, rule)[0] if tree_ok else None
-        if _pulls_only_unlimited(rule.form, src, sys.env_support):
-            out.append(
-                Violation(
-                    SKIN_PULLS_UNLIMITED,
-                    where,
-                    "symport-in at the skin may not draw only on the unlimited "
-                    "environment supply",
-                )
-            )
-    if tree_ok:
-        if sys.output not in labels:
-            out.append(
-                Violation(
-                    OUTPUT_OUT_OF_RANGE, "output", f"no membrane labeled {sys.output}"
-                )
-            )
-        elif sys.output not in sys.structure.leaves():
-            out.append(
-                Violation(
-                    OUTPUT_NOT_ELEMENTARY,
-                    "output",
-                    f"membrane {sys.output} contains other membranes",
-                )
-            )
-    return ValidationReport(tuple(out))
+            out.append(Violation(NODE_OUT_OF_RANGE, where, f"no membrane labeled {rule.region}"))
+        else:
+            src = cell_channel(sys.structure, rule)[0] if tree_ok else None
+            _check_move(rule.form, src, sys, where, out)
+
+    output = ()
+    if tree_ok and sys.output not in labels:
+        output = [Violation(OUTPUT_OUT_OF_RANGE, "output", f"no membrane labeled {sys.output}")]
+    elif tree_ok and sys.output not in sys.structure.leaves():
+        message = f"membrane {sys.output} contains other membranes"
+        output = [Violation(OUTPUT_NOT_ELEMENTARY, "output", message)]
+    shape = [Violation(BAD_STRUCTURE, "structure", problem) for problem in problems]
+    return _validate(sys, shape, labels, output, check_rule)
 
 
 def _validate_cells(sys, check_rule) -> ValidationReport:
-    """Checks shared by tissue and interaction systems around `check_rule`.
-
-    Names, the cell count and init come first, then every rule through
-    check_rule(idx, rule, nodes, out), then the output cell.
-    """
-    out: list[Violation] = []
-    _check_names(sys.alphabet, sys.env_support, out)
-    if sys.n_cells < 1:
-        out.append(
-            Violation(BAD_STRUCTURE, "cells", f"cell count must be positive, got {sys.n_cells}")
-        )
+    """The skeleton for tissue and interaction systems: cells 1..n_cells."""
     cells = set(range(1, sys.n_cells + 1))
-    _check_init(sys.init, cells, sys.alphabet, out)
-    nodes = cells | {0}
-    for idx, rule in enumerate(sys.rules):
-        check_rule(idx, rule, nodes, out)
+    shape = output = ()
+    if sys.n_cells < 1:
+        message = f"cell count must be positive, got {sys.n_cells}"
+        shape = [Violation(BAD_STRUCTURE, "cells", message)]
     if sys.output not in cells:
-        out.append(
-            Violation(OUTPUT_OUT_OF_RANGE, "output", f"no cell {sys.output}")
-        )
-    return ValidationReport(tuple(out))
+        output = [Violation(OUTPUT_OUT_OF_RANGE, "output", f"no cell {sys.output}")]
+    return _validate(sys, shape, cells, output, check_rule)
+
+
+def _check_nodes(sys, nodes, where: str, out: list[Violation]):
+    """Every node a tissue-style rule names is node 0 or one of its cells."""
+    for node in nodes:
+        if node != 0 and not 1 <= node <= sys.n_cells:
+            out.append(Violation(NODE_OUT_OF_RANGE, where, f"no node {node}"))
 
 
 def validate_tissue(sys: TissuePSystem) -> ValidationReport:
-    def check_rule(idx, rule, nodes, out):
+    def check_rule(idx, rule, out):
         where = f"rule {idx + 1} {tissue_rule_text(rule)}"
-        for node in (rule.src, rule.dst):
-            if node not in nodes:
-                out.append(Violation(NODE_OUT_OF_RANGE, where, f"no node {node}"))
+        _check_nodes(sys, (rule.src, rule.dst), where, out)
         if rule.src == rule.dst:
-            out.append(
-                Violation(EQUAL_ENDPOINTS, where, "rule endpoints must differ")
-            )
-        _check_sides(rule, sys.alphabet, where, out)
-        if _pulls_only_unlimited(rule, rule.src, sys.env_support):
-            out.append(
-                Violation(
-                    ENV_SYMPORT_UNLIMITED,
-                    where,
-                    "symport out of the environment may not draw only on the "
-                    "unlimited supply",
-                )
-            )
+            out.append(Violation(EQUAL_ENDPOINTS, where, "rule endpoints must differ"))
+        _check_move(rule, rule.src, sys, where, out)
 
     return _validate_cells(sys, check_rule)
 
 
 def validate_interaction(sys: InteractionSystem) -> ValidationReport:
-    def check_rule(idx, rule, nodes, out):
+    def check_rule(idx, rule, out):
         where = f"rule {idx + 1} {interaction_rule_text(rule)}"
         if isinstance(rule, UniportRule):
-            positions = (rule.src, rule.dst)
-            objects = (rule.obj,)
-            unbounded = rule.src == 0 and rule.obj in sys.env_support
-            inert = rule.src == rule.dst
+            moves = [(rule.obj, rule.src, rule.dst)]
         else:
-            positions = (rule.src_a, rule.src_b, rule.dst_a, rule.dst_b)
-            objects = (rule.obj_a, rule.obj_b)
-            unbounded = (
-                rule.src_a == 0
-                and rule.src_b == 0
-                and rule.obj_a in sys.env_support
-                and rule.obj_b in sys.env_support
-            )
-            inert = rule.src_a == rule.dst_a and rule.src_b == rule.dst_b
-        for node in positions:
-            if node not in nodes:
-                out.append(Violation(NODE_OUT_OF_RANGE, where, f"no node {node}"))
+            moves = [(rule.obj_a, rule.src_a, rule.dst_a), (rule.obj_b, rule.src_b, rule.dst_b)]
+        objects, sources, targets = zip(*moves)
+        _check_nodes(sys, sources + targets, where, out)
         for name in objects:
             if name not in sys.alphabet:
-                out.append(
-                    Violation(OBJECT_NOT_DECLARED, where, f"undeclared object {name!r}")
-                )
-        if unbounded:
-            out.append(
-                Violation(
-                    UNBOUNDED_RULE,
-                    where,
-                    "rule consumes only unlimited environment objects; its "
-                    "applicability would have no bound",
-                )
+                out.append(Violation(OBJECT_NOT_DECLARED, where, f"undeclared object {name!r}"))
+        if all(src == 0 and name in sys.env_support for name, src, _ in moves):
+            message = (
+                "rule consumes only unlimited environment objects; its "
+                "applicability would have no bound"
             )
-        if inert:
-            out.append(
-                Violation(INERT_RULE, where, "rule moves nothing", severity="warning")
-            )
+            out.append(Violation(UNBOUNDED_RULE, where, message))
+        if sources == targets:
+            out.append(Violation(INERT_RULE, where, "rule moves nothing", severity="warning"))
 
     return _validate_cells(sys, check_rule)
 

@@ -33,6 +33,11 @@ class MultisetSyntaxError(ValueError):
         self.offset = offset
 
 
+def quoted(text: str) -> str:
+    """`text` quoted for a diagnostic, cut to its first 40 characters and `…`."""
+    return repr(text if len(text) <= 40 else text[:40] + "…")
+
+
 def is_valid_name(name: str) -> bool:
     """Object names are ASCII identifiers."""
     return bool(NAME_PATTERN.match(name))
@@ -154,16 +159,16 @@ def parse_multiset(text: str) -> Multiset:
         offset = match.start()
         name, sep, raw_count = token.partition("^")
         if not is_valid_name(name):
-            raise MultisetSyntaxError(f"invalid object name {name!r}", offset)
+            raise MultisetSyntaxError(f"invalid object name {quoted(name)}", offset)
         if sep:
             k = parse_count(raw_count)
             if k is None:
                 raise MultisetSyntaxError(
-                    f"invalid multiplicity {raw_count!r} for {name!r}", offset
+                    f"invalid multiplicity {quoted(raw_count)} for {quoted(name)}", offset
                 )
             if k == 0:
                 raise MultisetSyntaxError(
-                    f"zero multiplicity for {name!r}; omit the item instead", offset
+                    f"zero multiplicity for {quoted(name)}; omit the item instead", offset
                 )
         else:
             k = 1

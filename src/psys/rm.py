@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .explore import ExploreBudget, explore
-from .measures import profile
+from .measures import cell_rule_size, profile
 from .model import (
     CellAntiport,
     CellPSystem,
@@ -244,11 +244,7 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
         output=1,
     )
     certificate = max(
-        (
-            max(rule.form.outbound.size, rule.form.inbound.size)
-            for rule in rules
-            if isinstance(rule.form, CellAntiport)
-        ),
+        (cell_rule_size(rule) for rule in rules if isinstance(rule.form, CellAntiport)),
         default=0,
     )
     return CompiledSystem(system=system, symbol_map=symbol_map, certificate=certificate)
@@ -320,13 +316,12 @@ def verify_compilation(
         max_depth=10_000, max_total_objects=m.num_registers * value_bound + 2
     )
     outcome = explore(compiled.system, budget)
-    allowed = set(range(value_bound + 1))
-    machine_cut = frozenset(machine_results) & frozenset(allowed)
-    system_cut = frozenset(outcome.results) & frozenset(allowed)
-    ok = machine_cut == system_cut and normal_form_ok
-    if machine_cut != system_cut:
-        only_machine = sorted(machine_cut - system_cut)
-        only_system = sorted(system_cut - machine_cut)
+    # The machine side never exceeds the bound; only the system's results need the cut.
+    system_results = frozenset(value for value in outcome.results if value <= value_bound)
+    ok = machine_results == system_results and normal_form_ok
+    if machine_results != system_results:
+        only_machine = sorted(machine_results - system_results)
+        only_system = sorted(system_results - machine_results)
         if only_machine:
             messages.append(f"values produced by the machine only: {only_machine}")
         if only_system:
@@ -334,8 +329,8 @@ def verify_compilation(
     return VerificationReport(
         ok=ok,
         bound=value_bound,
-        machine_results=machine_cut,
-        system_results=system_cut,
+        machine_results=machine_results,
+        system_results=system_results,
         machine_exhausted=machine_exhausted,
         system_exhausted=outcome.exhausted,
         normal_form_ok=normal_form_ok,

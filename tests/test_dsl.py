@@ -170,6 +170,18 @@ def test_forest_prints_every_root_and_round_trips():
     assert parsed_ok(print_system(sys)) == sys
 
 
+def test_a_deep_tree_prints_and_round_trips():
+    depth = 3_000
+    nested = "(".join(str(label) for label in range(1, depth + 1)) + ")" * (depth - 1)
+    text = EXAMPLE.replace("@membranes 1", f"@membranes {nested}").replace(
+        "@output 1", f"@output {depth}"
+    )
+    sys = parsed_ok(text)
+    assert validate(sys).ok
+    assert f"@membranes {nested}\n" in print_system(sys)
+    assert parsed_ok(print_system(sys)) == sys
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = (
         "# a system\n\n@model cell  # the variant\n@objects a\n@env\n"
@@ -373,7 +385,8 @@ NUMBER_PLACES = [
 
 def test_numbers_int_refuses_get_the_malformed_number_diagnostic():
     # More digits than int()'s 4,300-digit limit, and a digit int() does
-    # not read, each get the located diagnostic a malformed number gets.
+    # not read, each get the located diagnostic a malformed number gets,
+    # which quotes at most the first 40 characters of the token.
     for number in ("9" * 5_000, "\u00b2"):
         for parse, template in NUMBER_PLACES:
             _, diags = parse(template.format(number))
@@ -381,6 +394,7 @@ def test_numbers_int_refuses_get_the_malformed_number_diagnostic():
             assert malformed, template
             located = [(d.line, d.column, d.code) for d in diags]
             assert located == [(d.line, d.column, d.code) for d in malformed], template
+            assert all(len(str(d)) < 200 for d in diags), template
 
 
 # ---------------------------------------------------------------- totality

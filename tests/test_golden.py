@@ -8,6 +8,7 @@ these tests pin them exactly.
 
 import hashlib
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import psys
@@ -21,6 +22,18 @@ from psys.dsl import (
     print_system,
 )
 from psys.engine import Engine
+from psys.model import (
+    CellAntiport,
+    CellRule,
+    InteractionRule,
+    MembraneStructure,
+    SymportIn,
+    SymportOut,
+    TissueAntiport,
+    TissueSymport,
+    UniportRule,
+    validate,
+)
 from psys.explore import ExploreBudget, check_deterministic, decide_accept, explore
 from psys.multiset import Multiset, format_multiset
 
@@ -301,3 +314,88 @@ def test_public_surface_is_pinned():
     assert sorted(psys.__all__) == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert getattr(psys, name) is not None, name
+
+
+def _defect(rng, sys):
+    """A copy of `sys` with one structured defect its kind can have."""
+    cell = isinstance(sys, psys.CellPSystem)
+    tissue = isinstance(sys, psys.TissuePSystem)
+    n = sys.structure.n if cell else sys.n_cells
+    far = max(n, 1) + rng.randint(1, 5)
+    name = rng.choice(sorted(sys.alphabet - {"", "9x", "a b"}) or ["o1"])
+    one = Multiset({name: 1})
+    unlimited = replace(sys, env_support=sys.env_support | {name}) if name in sys.alphabet else sys
+    label = rng.randint(1, max(n, 1))
+
+    def adding(rule, base=sys):
+        rules = list(base.rules)
+        rules.insert(rng.randint(0, len(rules)), rule)
+        return replace(base, rules=rules)
+
+    defects = [
+        lambda: replace(sys, init={**sys.init, far: one}),
+        lambda: replace(sys, init={**sys.init, label: Multiset({"zz": 2})}),
+        lambda: replace(sys, alphabet=sys.alphabet | {rng.choice(["", "9x", "a b"])}),
+        lambda: replace(sys, env_support=sys.env_support | {"stray"}),
+        lambda: replace(sys, output=rng.choice([far, 0, -1])),
+    ]
+    if cell:
+        skin = sys.structure.skin if not sys.structure.problems() else 1
+        defects += [
+            lambda: replace(sys, structure=MembraneStructure(3, {2: 3, 3: 2})),
+            lambda: replace(sys, structure=MembraneStructure(4, {2: 1, 3: 4, 4: 3})),
+            lambda: replace(sys, structure=MembraneStructure(2)),
+            lambda: replace(sys, structure=MembraneStructure(2, {2: 9})),
+            lambda: replace(sys, structure=MembraneStructure(1, {5: 1})),
+            lambda: replace(sys, structure=MembraneStructure(rng.choice([0, -2]))),
+            lambda: replace(sys, structure=MembraneStructure(2, {2: 1}), output=1),
+            lambda: adding(CellRule(rng.choice([far, 0]), SymportOut(one))),
+            lambda: adding(CellRule(label, SymportOut(Multiset()))),
+            lambda: adding(CellRule(label, CellAntiport(Multiset(), Multiset({"zz": 1})))),
+            lambda: adding(CellRule(label, SymportIn(Multiset({"zz": 1, name: 1})))),
+            lambda: adding(CellRule(skin, SymportIn(one)), unlimited),
+        ]
+    elif tissue:
+        defects += [
+            lambda: replace(sys, n_cells=rng.choice([0, -1])),
+            lambda: adding(TissueSymport(far, one, rng.randint(0, label))),
+            lambda: adding(TissueSymport(label, one, label)),
+            lambda: adding(TissueAntiport(0, Multiset(), one, label)),
+            lambda: adding(TissueSymport(label, Multiset({"zz": 1}), 0)),
+            lambda: adding(TissueSymport(0, one, label), unlimited),
+        ]
+    else:
+        defects += [
+            lambda: replace(sys, n_cells=rng.choice([0, -1])),
+            lambda: adding(UniportRule(name, far, label)),
+            lambda: adding(InteractionRule(name, label, name, 0, -1, far)),
+            lambda: adding(UniportRule("zz", label, 0)),
+            lambda: adding(InteractionRule(name, 0, "zz", 1, 1, 0)),
+            lambda: adding(UniportRule(name, 0, label), unlimited),
+            lambda: adding(InteractionRule(name, 0, name, 0, label, label), unlimited),
+            lambda: adding(UniportRule(name, label, label)),
+            lambda: adding(InteractionRule(name, label, name, 0, label, 0)),
+        ]
+    return rng.choice(defects)()
+
+
+# sha256 of every validation report below over seeded systems, clean and
+# with one to three structured defects. A change to it changes a code, a
+# location, a message, a severity or the order of the violations.
+VALIDATION_DIGEST = "0e385246013a610f801087e42fc09c806e1544ecac9c017a9ae9ac428db29f34"
+
+
+def test_validation_reports_are_pinned():
+    rng = random.Random(10)
+    digest = hashlib.sha256()
+    codes = set()
+    makers = (random_cell_system, random_tissue_system, random_interaction_system)
+    for k in range(1_500):
+        sys = makers[k % 3](rng)
+        for _ in range(rng.randint(0, 3) if k % 5 else 0):
+            sys = _defect(rng, sys)
+        report = validate(sys)
+        codes.update(v.code for v in report.violations)
+        digest.update(str(report).encode() + b"\0")
+    assert codes == {f"V{i:03}" for i in range(1, 14)} | {"W001"}
+    assert digest.hexdigest() == VALIDATION_DIGEST
