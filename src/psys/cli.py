@@ -267,7 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pretty", action="store_true", help="human-readable report")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("run", help="run one computation, streaming the trace")
+    p = sub.add_parser("run", help="run one computation, then print its trace")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=_at_least(0), default=10_000)

@@ -158,7 +158,7 @@ def parse_structure(
     own = out if out is not None else _Collector()
     before = len(own.diags)
     parent: dict[int, int] = {}
-    seen: list[int] = []
+    seen: set[int] = set()
     stack: list[int] = []
     prev: Optional[int] = None
     for tok in _STRUCT_TOKEN.finditer(text):
@@ -171,7 +171,7 @@ def parse_structure(
             elif label in seen:
                 own.add(line, at, BAD_STRUCTURE_TEXT, f"membrane {label} appears twice")
             else:
-                seen.append(label)
+                seen.add(label)
                 if stack:
                     parent[label] = stack[-1]
                 prev = label

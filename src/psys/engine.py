@@ -511,19 +511,25 @@ class Engine:
         Availability only shrinks as rules are granted, so one pass
         leaves nothing extendable.
         """
-        order = list(self.rules)
+        # The shuffle's draws depend only on the length, which seeded traces pin.
+        order = list(enumerate(self._takes))
         rng.shuffle(order)
         pools = list(self._counts(c)[1])
-        granted: dict[int, int] = {}
-        for rule in order:
-            need = self._takes[rule.index]
-            bound = _bound(need, pools)
+        granted = []
+        for index, need in order:
+            bound = None
+            for slot, count in need:
+                fits = pools[slot] // count
+                if bound is None or fits < bound:
+                    bound = fits
+                    if not fits:
+                        break
             if bound is None:
-                raise _unbounded(rule)
+                raise _unbounded(self.rules[index])
             if bound:
-                granted[rule.index] = bound
+                granted.append((index, bound))
                 _take(need, pools, bound)
-        return StepChoice(tuple(sorted(granted.items())))
+        return StepChoice(tuple(sorted(granted)))
 
     def run_accepting(
         self,
@@ -543,37 +549,35 @@ class Engine:
         trace = self._run_from(start, seed, max_steps, policy, cap=10_000)
         return ("accepted" if trace.halted else "budget_exhausted"), trace
 
-    def trace_records(self, trace: Trace) -> Iterator[dict]:
-        """Line-oriented trace serialization, one JSON-ready dict per record."""
-
-        def snapshot(c: Configuration) -> dict:
-            layout, counts = self._counts(c)
-            return {
-                "regions": {
-                    str(label): layout.contents(counts, label) for label in self.labels
-                },
-                "env": layout.contents(counts, 0),
-            }
-
-        yield {"step": 0, **snapshot(trace.initial)}
-        for t, step in enumerate(trace.steps, start=1):
-            record = {
-                "step": t,
-                "choice": [
-                    {"rule": self.rules[index].rid, "n": m}
-                    for index, m in step.choice.applications
-                ],
-                **snapshot(step.after),
-            }
-            if step.note:
-                record["note"] = step.note
-            yield record
-        summary = {"halted": trace.halted, "steps": trace.steps_taken}
-        if trace.halted:
-            summary["result"] = trace.final.region_size(self.output)
-        yield summary
-
 
 def trace_to_lines(engine: Engine, trace: Trace) -> Iterator[str]:
-    for record in engine.trace_records(trace):
-        yield json.dumps(record, separators=(", ", ": "))
+    """The trace as JSON lines: the start, each step, then a summary.
+
+    Each line is what `json.dumps(record, separators=(", ", ": "))` gives,
+    written from the count vectors with keys made once per rule and slot.
+    """
+    rules = [f'{{"rule": {json.dumps(rule.rid)}, "n": ' for rule in engine.rules]
+    keys: dict[_Layout, list[list[tuple[int, str]]]] = {}
+
+    def snapshot(c: Configuration) -> str:
+        layout, counts = engine._counts(c)
+        if layout not in keys:
+            # [(slot, '"name": '), ...] for each region, then for the environment.
+            keys[layout] = [
+                [(i, f"{json.dumps(name)}: ") for i, name in layout.nodes[node]]
+                for node in (*layout.labels, 0)
+            ]
+        *regions, env = [
+            "{" + ", ".join([key + str(counts[i]) for i, key in entries if counts[i]]) + "}"
+            for entries in keys[layout]
+        ]
+        inside = ", ".join([f'"{label}": {held}' for label, held in zip(layout.labels, regions)])
+        return f'"regions": {{{inside}}}, "env": {env}'
+
+    yield f'{{"step": 0, {snapshot(trace.initial)}}}'
+    for t, step in enumerate(trace.steps, start=1):
+        choice = ", ".join([f"{rules[index]}{m}}}" for index, m in step.choice.applications])
+        note = f', "note": {json.dumps(step.note)}' if step.note else ""
+        yield f'{{"step": {t}, "choice": [{choice}], {snapshot(step.after)}{note}}}'
+    result = f', "result": {trace.final.region_size(engine.output)}' if trace.halted else ""
+    yield f'{{"halted": {json.dumps(trace.halted)}, "steps": {trace.steps_taken}{result}}}'

@@ -130,9 +130,6 @@ class MembraneStructure:
         """Enclosing region; 0 is the environment outside the skin."""
         return self.parent.get(label, 0)
 
-    def children(self, label: int) -> tuple[int, ...]:
-        return tuple(child for child, p in sorted(self.parent.items()) if p == label)
-
     def leaves(self) -> tuple[int, ...]:
         inner = set(self.parent.values())
         return tuple(label for label in self.labels if label not in inner)

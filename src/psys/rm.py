@@ -15,6 +15,7 @@ the zero test.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -201,11 +202,9 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
         symbol_map[label] = label
         if isinstance(m.instructions[label], Sub):
             names.extend((f"{label}_1", f"{label}_2", f"{label}_c", f"{label}_cb"))
-    duplicates = sorted({name for name in names if names.count(name) > 1})
+    duplicates = sorted(name for name, k in Counter(names).items() if k > 1)
     if duplicates:
-        raise CompileError(
-            f"object name collisions: {duplicates}; rename the machine labels"
-        )
+        raise CompileError(f"object name collisions: {duplicates}; rename the machine labels")
 
     def one(name: str) -> Multiset:
         return Multiset([name])

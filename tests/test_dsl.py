@@ -1,4 +1,5 @@
 import random
+import timeit
 
 from psys.dsl import (
     BAD_INTERACTION,
@@ -15,6 +16,7 @@ from psys.dsl import (
     format_structure,
     parse_interactions,
     parse_machine,
+    parse_structure,
     parse_system,
     print_interactions,
     print_machine,
@@ -149,6 +151,17 @@ def test_print_tissue_golden_and_round_trip():
         "@output 1\n"
     )
     assert parsed_ok(text) == sys
+
+
+def test_structure_parsing_is_linear_in_the_label_count():
+    # At 32 times the labels a linear parser takes about 32 times as long;
+    # one that scans the labels seen per label took about 1,000 times.
+    def best(n):
+        text = "1(" + " ".join(map(str, range(2, n + 1))) + ")"
+        assert parse_structure(text).n == n
+        return min(timeit.repeat(lambda: parse_structure(text), number=1, repeat=3))
+
+    assert best(32_000) < 128 * best(1_000)
 
 
 def test_structure_literal_nesting():

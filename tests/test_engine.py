@@ -76,6 +76,18 @@ def test_enabled_rejects_rules_with_no_finite_bound():
         eng.enabled(eng.initial())
 
 
+def test_greedy_step_rejects_rules_with_no_finite_bound():
+    # The system above, and again behind a rule the shuffle may grant first.
+    unbounded = CellRule(1, SymportIn(ms("a")))
+    for rules in ([unbounded], [CellRule(1, SymportOut(ms("b"))), unbounded]):
+        eng = Engine(cell(rules, init="b", env=("a",)))
+        for seed in range(4):
+            with pytest.raises(UnboundedStepError, match=f"rule r{len(rules)} "):
+                eng._greedy_step(eng.initial(), random.Random(seed))
+            with pytest.raises(UnboundedStepError):
+                eng.run(seed, policy="greedy-random")
+
+
 # ---------------------------------------------------------------- maximal steps
 
 

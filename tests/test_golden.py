@@ -7,6 +7,7 @@ these tests pin them exactly.
 """
 
 import hashlib
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -202,6 +203,41 @@ def test_shared_object_systems_match_the_oracle():
             if c.total_tracked > 24:
                 break
     assert compared >= 500 and multi >= 100
+
+
+# sha256 of every trace line below over the seeded population. A change to
+# it changes a byte of `psys run` output: a record's keys, their order, the
+# escaping of a name, a note, a summary, or a seeded run's choices.
+TRACE_DIGEST = "3e42ce85cd30514458e603cba44172cbeffe11bacfa60ca0a72c3d792fb0e5b0"
+
+# Input names outside every generated alphabet, two of them needing escapes.
+OUTSIDE = Multiset({"zz": 2, 'q"\\': 1, "é": 1})
+
+
+def test_trace_lines_are_pinned():
+    rng = random.Random(1011)
+    digest = hashlib.sha256()
+    seen = {"greedy": 0, "fallback": 0, "result": 0, "outside": 0}
+    for k in range(600):
+        sys = random_shared_system(rng) if k % 2 else random_system(rng)
+        eng = Engine(sys)
+        seed, steps = rng.randrange(1_000), rng.randint(1, 12)
+        given = OUTSIDE + Multiset({rng.choice(sorted(sys.alphabet)): rng.randint(1, 3)})
+        traces = [
+            eng.run(seed, steps, "greedy-random"),
+            eng.run(seed, steps, "enumerate-uniform", cap=1),
+            eng.run_accepting(given, rng.choice(list(eng.labels)), seed, steps)[1],
+        ]
+        for trace in traces:
+            for line in psys.trace_to_lines(eng, trace):
+                assert json.dumps(json.loads(line), separators=(", ", ": ")) == line
+                digest.update(line.encode() + b"\n")
+        seen["greedy"] += traces[0].steps_taken > 0
+        seen["fallback"] += any(step.note for step in traces[1].steps)
+        seen["result"] += sum(trace.halted for trace in traces)
+        seen["outside"] += traces[2].steps_taken > 0
+    assert min(seen.values()) >= 50, seen
+    assert digest.hexdigest() == TRACE_DIGEST
 
 
 def test_greedy_steps_are_maximal_on_shared_object_systems():

@@ -70,8 +70,6 @@ def test_structure_tree_queries():
     assert s.skin == 1
     assert s.outer(1) == 0
     assert s.outer(4) == 3
-    assert s.children(1) == (2, 3)
-    assert s.children(4) == ()
     assert s.leaves() == (2, 4)
 
 
