@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract:
   0  success
-  1  usage error or unparseable input
+  1  usage error, unparseable input, or output that could not be written
   2  the input parsed but failed validation
   3  a budget ran out before reaching a verdict
   4  a property or verification check failed
@@ -14,8 +14,10 @@ line formats); diagnostics and violations go to standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -147,24 +149,18 @@ def cmd_run(args) -> int:
             print(f"error: bad --accept multiset: {err}", file=sys.stderr)
             return EXIT_USAGE
     engine = Engine(_validated_system(args.file))
-    if args.accept is not None:
-        if args.region not in engine.labels:
-            print(f"error: no region labeled {args.region}", file=sys.stderr)
-            return EXIT_USAGE
-        status, trace = engine.run_accepting(
-            input_objects,
-            args.region,
-            seed=args.seed,
-            max_steps=args.max_steps,
-            policy=args.policy,
-        )
-        for line in trace_to_lines(engine, trace):
-            print(line)
-        print(json.dumps({"accept": status}))
-        return EXIT_OK if status == "accepted" else EXIT_BUDGET
-    trace = engine.run(seed=args.seed, max_steps=args.max_steps, policy=args.policy)
+    if args.accept is None:
+        start = engine.initial()
+    elif args.region in engine.labels:
+        start = engine.initial(input_objects, args.region)
+    else:
+        print(f"error: no region labeled {args.region}", file=sys.stderr)
+        return EXIT_USAGE
+    trace = engine._running(start, args.seed, args.max_steps, args.policy)
     for line in trace_to_lines(engine, trace):
         print(line)
+    if args.accept is not None:
+        print(json.dumps({"accept": "accepted" if trace.halted else "budget_exhausted"}))
     return EXIT_OK if trace.halted else EXIT_BUDGET
 
 
@@ -267,7 +263,11 @@ def build_parser() -> _Parser:
     p.add_argument("--pretty", action="store_true", help="human-readable report")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("run", help="run one computation, then print its trace")
+    p = sub.add_parser(
+        "run",
+        help="run one computation, streaming its trace one line per step"
+        " in memory that does not grow with --max-steps",
+    )
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=_at_least(0), default=10_000)
@@ -327,6 +327,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except _CliFailure as failure:
         return failure.code
+    except OSError as err:
+        # Files are read and written with their own messages; what reaches
+        # here is standard output closed or full, which also ends a run.
+        _silence_stdout()
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _silence_stdout() -> None:
+    """Point a failed stdout at the null device, so the flush at exit does not fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

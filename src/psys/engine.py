@@ -479,11 +479,28 @@ class Engine:
     def _run_from(
         self, start: Configuration, seed: int, max_steps: int, policy: str, cap: int
     ) -> Trace:
+        trace = self._running(start, seed, max_steps, policy, cap)
+        trace.steps = list(trace.steps)
+        return trace
+
+    def _running(
+        self, start: Configuration, seed: int, max_steps: int, policy: str, cap: int = 10_000
+    ) -> Trace:
+        """A computation from `start` whose steps are taken as `steps` is iterated.
+
+        `steps` is a one-pass iterator of TraceSteps; `halted` is settled
+        once it runs out. The policy is checked here, before any step.
+        """
         if policy not in ("enumerate-uniform", "greedy-random"):
             raise ValueError(f"unknown policy {policy!r}")
-        rng = random.Random(seed)
-        c = start
-        trace = Trace(c)
+        trace = Trace(start)
+        trace.steps = self._steps(trace, random.Random(seed), max_steps, policy, cap)
+        return trace
+
+    def _steps(
+        self, trace: Trace, rng: random.Random, max_steps: int, policy: str, cap: int
+    ) -> Iterator[TraceStep]:
+        c = trace.initial
         for _ in range(max_steps):
             note = None
             if policy == "enumerate-uniform":
@@ -499,11 +516,10 @@ class Engine:
                 choice = self._greedy_step(c, rng)
             if not choice.applications:
                 trace.halted = True
-                return trace
+                return
             c = self.apply(c, choice)
-            trace.steps.append(TraceStep(choice, c, note))
+            yield TraceStep(choice, c, note)
         trace.halted = self.is_halted(c)
-        return trace
 
     def _greedy_step(self, c: Configuration, rng: random.Random) -> StepChoice:
         """Build one maximal step by saturating rules in shuffled order.
@@ -555,6 +571,8 @@ def trace_to_lines(engine: Engine, trace: Trace) -> Iterator[str]:
 
     Each line is what `json.dumps(record, separators=(", ", ": "))` gives,
     written from the count vectors with keys made once per rule and slot.
+    `trace.steps` is read once, in order, so a computation still running
+    streams its lines as its steps are taken; `halted` is read after them.
     """
     rules = [f'{{"rule": {json.dumps(rule.rid)}, "n": ' for rule in engine.rules]
     keys: dict[_Layout, list[list[tuple[int, str]]]] = {}
@@ -574,10 +592,12 @@ def trace_to_lines(engine: Engine, trace: Trace) -> Iterator[str]:
         inside = ", ".join([f'"{label}": {held}' for label, held in zip(layout.labels, regions)])
         return f'"regions": {{{inside}}}, "env": {env}'
 
-    yield f'{{"step": 0, {snapshot(trace.initial)}}}'
+    c, t = trace.initial, 0
+    yield f'{{"step": 0, {snapshot(c)}}}'
     for t, step in enumerate(trace.steps, start=1):
+        c = step.after
         choice = ", ".join([f"{rules[index]}{m}}}" for index, m in step.choice.applications])
         note = f', "note": {json.dumps(step.note)}' if step.note else ""
-        yield f'{{"step": {t}, "choice": [{choice}], {snapshot(step.after)}{note}}}'
-    result = f', "result": {trace.final.region_size(engine.output)}' if trace.halted else ""
-    yield f'{{"halted": {json.dumps(trace.halted)}, "steps": {trace.steps_taken}{result}}}'
+        yield f'{{"step": {t}, "choice": [{choice}], {snapshot(c)}{note}}}'
+    result = f', "result": {c.region_size(engine.output)}' if trace.halted else ""
+    yield f'{{"halted": {json.dumps(trace.halted)}, "steps": {t}{result}}}'

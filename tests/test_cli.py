@@ -1,11 +1,22 @@
+import contextlib
 import json
+import os
 import random
+import select
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from psys import cli
+from psys import cli, dsl
+from psys.engine import Engine, trace_to_lines
+from psys.multiset import parse_multiset
+
+from gen import random_cell_system, random_shared_system, random_tissue_system
+
+RING = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "ring.psys"
 
 
 VALID = """\
@@ -402,3 +413,103 @@ def test_seeded_runs_are_byte_identical(tmp_path):
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b'{"step": 0')
+
+
+def test_streamed_run_prints_the_collected_trace(tmp_path, capsys):
+    rng = random.Random(1212)
+    makers = (random_cell_system, random_tissue_system, random_shared_system)
+    seen = {"zero": 0, "early": 0, "budget": 0, "fallback": 0, "accepted": 0, "outside": 0}
+    for k in range(150):
+        # Rules are numbered in file order, so the engine is built from the text.
+        text = dsl.print_system(makers[k % 3](rng))
+        path = put(tmp_path, f"s{k}.psys", text)
+        sys_ = dsl.parse_system(text)[0]
+        eng = Engine(sys_)
+        seed, steps = rng.randrange(1_000), rng.choice((0, 1, 4, 12))
+        flags = ["--seed", str(seed), "--max-steps", str(steps)]
+        for policy in ("enumerate-uniform", "greedy-random"):
+            code, out, err = invoke(capsys, "run", path, *flags, "--policy", policy)
+            trace = eng.run(seed, steps, policy)
+            assert out.splitlines() == list(trace_to_lines(eng, trace))
+            assert (code, err) == (0 if trace.halted else 3, "")
+            seen["zero"] += steps == 0
+            seen["early"] += trace.halted and trace.steps_taken < steps
+            seen["budget"] += not trace.halted
+        # The CLI's cap is fixed, so a small cap is compared on the engine's own stream.
+        streamed = eng._running(eng.initial(), seed, steps, "enumerate-uniform", cap=1)
+        trace = eng.run(seed, steps, "enumerate-uniform", cap=1)
+        assert list(trace_to_lines(eng, streamed)) == list(trace_to_lines(eng, trace))
+        seen["fallback"] += any(step.note for step in trace.steps)
+
+        given = f"zz^2 {rng.choice(sorted(sys_.alphabet))}"
+        region = rng.choice(list(eng.labels))
+        policy = rng.choice(("enumerate-uniform", "greedy-random"))
+        code, out, err = invoke(
+            capsys, "run", path, *flags, "--policy", policy,
+            "--accept", given, "--region", str(region),
+        )
+        status, trace = eng.run_accepting(parse_multiset(given), region, seed, steps, policy)
+        assert out.splitlines() == [*trace_to_lines(eng, trace), json.dumps({"accept": status})]
+        assert (code, err) == (0 if status == "accepted" else 3, "")
+        seen["accepted"] += status == "accepted"
+        seen["outside"] += trace.steps_taken > 0
+    assert min(seen.values()) >= 10, seen
+
+
+def test_run_memory_does_not_grow_with_max_steps():
+    def peak(steps):
+        argv = ["run", str(RING), "--policy", "greedy-random", "--seed", "7", "--max-steps", str(steps)]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(1)  # the first call builds the argument parser and fills import caches
+    (short_code, short), (long_code, long) = peak(200), peak(4_000)
+    assert short_code == long_code == 3
+    assert long <= short + 64 * 1024, (short, long)
+
+
+def test_run_stops_at_the_first_failed_write_to_a_closed_pipe(tmp_path):
+    # 650 rules keep every step slow enough that a run which printed only at
+    # its end would still be stepping at the deadline, in well under 100 MB.
+    names = [chr(c) for c in range(ord("a"), ord("z") + 1)]
+    rules = "".join(f"@rules 1: ({x}, out; {y}, in)\n" for x in names for y in names if x != y)
+    path = put(
+        tmp_path,
+        "loop.psys",
+        f"@model cell\n@objects {' '.join(names)}\n@env {' '.join(names)}\n"
+        f"@membranes 1\n@init 1: a\n{rules}@output 1\n",
+    )
+    argv = [sys.executable, "-m", "psys", "run", path, "--policy", "greedy-random",
+            "--max-steps", "100000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        try:
+            assert select.select([child.stdout], [], [], 15)[0], "no trace line within 15 s"
+            assert child.stdout.readline().startswith(b'{"step": 0')
+            child.stdout.close()
+            code = child.wait(timeout=15)
+        finally:
+            child.kill()
+        err = child.stderr.read().decode()
+    assert code == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines() == ["error: cannot write output: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_run_into_a_full_device_exits_one(tmp_path):
+    path = put(tmp_path, "p.psys", PERPETUAL)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "psys", "run", path, "--max-steps", "1000"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    err = done.stderr.decode()
+    assert done.returncode == 1
+    assert err.splitlines() == ["error: cannot write output: [Errno 28] No space left on device"]

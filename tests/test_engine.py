@@ -350,10 +350,21 @@ def test_run_cap_overflow_falls_back_to_greedy_with_note():
     assert eng.result(trace.final) == 0
 
 
-def test_run_rejects_unknown_policy():
-    eng = Engine(cell([], init="a"))
-    with pytest.raises(ValueError):
-        eng.run(seed=0, policy="clairvoyant")
+def test_run_rejects_unknown_policy(monkeypatch):
+    eng = Engine(cell([CellRule(1, SymportOut(ms("a")))], init="a"))
+
+    def no_step(*_):
+        raise AssertionError("a step was taken under an unknown policy")
+
+    for method in ("maximal_steps", "_greedy_step", "apply", "is_halted"):
+        monkeypatch.setattr(eng, method, no_step)
+    with pytest.raises(ValueError, match="unknown policy 'nope'"):
+        eng.run(seed=0, policy="nope")
+    with pytest.raises(ValueError, match="unknown policy 'nope'"):
+        eng.run_accepting(ms("a"), 1, seed=0, policy="nope")
+    # The streaming form raises at the call, not at the first step read.
+    with pytest.raises(ValueError, match="unknown policy 'nope'"):
+        eng._running(eng.initial(), 0, 10, "nope")
 
 
 # ---------------------------------------------------------------- accepting runs
