@@ -252,6 +252,27 @@ def _take(need: _Table, pools: list[int], m: int) -> None:
         pools[slot] -= m * count
 
 
+def _draws(n: int) -> list[tuple[int, int]]:
+    """(i, bits) for i from n - 1 down to 1: the draws of shuffling n items."""
+    return [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+
+
+def _shuffle(items: list, draws: list[tuple[int, int]], rng: random.Random) -> None:
+    """`rng.shuffle(items)`, given `_draws(len(items))`.
+
+    CPython's `Random.shuffle` swaps items[i] with items[_randbelow(i + 1)],
+    and `_randbelow` redraws `getrandbits(bits)` until the value is at most
+    i. This is the same loop without a call per draw, so the permutation
+    and the generator's state afterwards are the same.
+    """
+    getrandbits = rng.getrandbits
+    for i, bits in draws:
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
+
+
 def _unbounded(rule: TransferRule) -> UnboundedStepError:
     return UnboundedStepError(f"rule {rule.rid} {rule.text} consumes only unlimited objects")
 
@@ -454,10 +475,15 @@ class Engine:
                         f"step {choice.applications} takes more {name} than node {node} holds"
                     )
                 pools[slot] = left
-        for index, m in choice.applications:
-            for slot, count in self._gives[index]:
-                pools[slot] += m * count
+        self._give(pools, choice.applications)
         return Configuration._of(layout, tuple(pools))
+
+    def _give(self, pools: list[int], applications) -> None:
+        """Add the products of `applications` to the pools in place: a step's second phase."""
+        gives = self._gives
+        for index, m in applications:
+            for slot, count in gives[index]:
+                pools[slot] += m * count
 
     def run(
         self,
@@ -501,36 +527,61 @@ class Engine:
         self, trace: Trace, rng: random.Random, max_steps: int, policy: str, cap: int
     ) -> Iterator[TraceStep]:
         c = trace.initial
+        layout, counts = self._counts(c)
+        tables = self._greedy_tables()
         for _ in range(max_steps):
             note = None
             if policy == "enumerate-uniform":
                 steps, complete = self.maximal_steps(c, cap)
                 if not steps:
-                    choice = StepChoice(())
-                elif complete:
+                    trace.halted = True
+                    return
+                if complete:
                     choice = steps[rng.randrange(len(steps))]
-                else:
-                    choice = self._greedy_step(c, rng)
-                    note = "greedy-random fallback: maximal-step listing overflowed"
-            else:
-                choice = self._greedy_step(c, rng)
-            if not choice.applications:
+                    c = self.apply(c, choice)
+                    layout, counts = c._layout, c._counts
+                    yield TraceStep(choice, c)
+                    continue
+                note = "greedy-random fallback: maximal-step listing overflowed"
+            # All takes come from the old counts, then all gives are added.
+            granted, pools = self._greedy_pass(counts, rng, tables)
+            if not granted:
                 trace.halted = True
                 return
-            c = self.apply(c, choice)
-            yield TraceStep(choice, c, note)
+            self._give(pools, granted)
+            counts = tuple(pools)
+            c = Configuration._of(layout, counts)
+            yield TraceStep(StepChoice(tuple(granted)), c, note)
         trace.halted = self.is_halted(c)
 
     def _greedy_step(self, c: Configuration, rng: random.Random) -> StepChoice:
-        """Build one maximal step by saturating rules in shuffled order.
+        """Build one maximal step by saturating rules in shuffled order."""
+        granted, _ = self._greedy_pass(self._counts(c)[1], rng, self._greedy_tables())
+        return StepChoice(tuple(granted))
 
-        Availability only shrinks as rules are granted, so one pass
+    def _greedy_tables(self) -> tuple[list[tuple[int, _Table]], list[tuple[int, int]]]:
+        """The (index, take table) pair of every rule, in rule order, and their `_draws`."""
+        order = list(enumerate(self._takes))
+        return order, _draws(len(order))
+
+    def _greedy_pass(
+        self,
+        counts: tuple[int, ...],
+        rng: random.Random,
+        tables: tuple[list[tuple[int, _Table]], list[tuple[int, int]]],
+    ) -> tuple[list[tuple[int, int]], list[int]]:
+        """Saturate rules in shuffled order, taking from a copy of `counts`.
+
+        `tables` comes from `_greedy_tables`, made once per run. Returns
+        the granted (index, m) pairs in index order and the residual
+        pools. Availability only shrinks as rules are granted, so one pass
         leaves nothing extendable.
         """
         # The shuffle's draws depend only on the length, which seeded traces pin.
-        order = list(enumerate(self._takes))
-        rng.shuffle(order)
-        pools = list(self._counts(c)[1])
+        order, draws = tables
+        order = order[:]
+        _shuffle(order, draws, rng)
+        pools = list(counts)
         granted = []
         for index, need in order:
             bound = None
@@ -544,8 +595,11 @@ class Engine:
                 raise _unbounded(self.rules[index])
             if bound:
                 granted.append((index, bound))
-                _take(need, pools, bound)
-        return StepChoice(tuple(sorted(granted)))
+                # `_take` inlined: this runs for most rules of every step.
+                for slot, count in need:
+                    pools[slot] -= bound * count
+        granted.sort()
+        return granted, pools
 
     def run_accepting(
         self,

@@ -8,6 +8,8 @@ from psys.engine import (
     Engine,
     StepChoice,
     UnboundedStepError,
+    _draws,
+    _shuffle,
     trace_to_lines,
 )
 from psys.explore import explore
@@ -350,13 +352,78 @@ def test_run_cap_overflow_falls_back_to_greedy_with_note():
     assert eng.result(trace.final) == 0
 
 
+def test_inline_shuffle_draws_like_random_shuffle():
+    # Later enumerate-uniform draws depend on the generator's state, so it
+    # must match too, not only the permutation.
+    for n in range(131):
+        draws = _draws(n)
+        for seed in range(20):
+            expected, got = list(range(n)), list(range(n))
+            reference, rng = random.Random(seed), random.Random(seed)
+            reference.shuffle(expected)
+            _shuffle(got, draws, rng)
+            assert got == expected
+            assert rng.getstate() == reference.getstate()
+
+
+def chosen_then_applied(eng, start, rng, max_steps, policy, cap):
+    """(choice, after, note) of every step, choosing as `Engine.run` does and
+    applying with `Engine.apply`, then whether the run halted."""
+    c, out = start, []
+    for _ in range(max_steps):
+        note = None
+        if policy == "enumerate-uniform":
+            steps, complete = eng.maximal_steps(c, cap)
+            if steps and complete:
+                choice = steps[rng.randrange(len(steps))]
+            else:
+                choice = eng._greedy_step(c, rng)
+                note = "greedy-random fallback: maximal-step listing overflowed"
+        else:
+            choice = eng._greedy_step(c, rng)
+        if not choice.applications:
+            return out, True
+        c = eng.apply(c, choice)
+        out.append((choice, c, note))
+    return out, eng.is_halted(c)
+
+
+# Cap 1 makes most enumerate-uniform steps fall back to greedy, with a note.
+POLICIES = (("greedy-random", 10_000), ("enumerate-uniform", 1), ("enumerate-uniform", 10_000))
+
+
+def test_fused_steps_equal_choose_then_apply():
+    rng = random.Random(1313)
+    notes = 0
+    for k in range(300):
+        sys = random_shared_system(rng) if k % 2 else random_system(rng)
+        eng = Engine(sys)
+        seed, max_steps = rng.randrange(1_000), rng.randint(1, 10)
+        # An input object outside the alphabet gives the run a widened layout.
+        outside = eng.initial(Multiset({"zz": 2}), rng.choice(list(eng.labels)))
+        for start in (eng.initial(), outside):
+            for policy, cap in POLICIES:
+                trace = eng._running(start, seed, max_steps, policy, cap)
+                fused = [(step.choice, step.after, step.note) for step in trace.steps]
+                expected, halted = chosen_then_applied(
+                    eng, start, random.Random(seed), max_steps, policy, cap
+                )
+                assert fused == expected
+                assert [after._counts for _, after, _ in fused] == [
+                    after._counts for _, after, _ in expected
+                ]
+                assert trace.halted == halted
+                notes += any(note for _, _, note in fused)
+    assert notes >= 50
+
+
 def test_run_rejects_unknown_policy(monkeypatch):
     eng = Engine(cell([CellRule(1, SymportOut(ms("a")))], init="a"))
 
     def no_step(*_):
         raise AssertionError("a step was taken under an unknown policy")
 
-    for method in ("maximal_steps", "_greedy_step", "apply", "is_halted"):
+    for method in ("maximal_steps", "_greedy_step", "_greedy_pass", "apply", "is_halted"):
         monkeypatch.setattr(eng, method, no_step)
     with pytest.raises(ValueError, match="unknown policy 'nope'"):
         eng.run(seed=0, policy="nope")
