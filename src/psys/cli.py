@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import dsl, rm
-from .engine import Engine, trace_to_lines
+from .engine import POLICIES, Engine, trace_to_lines
 from .explore import (
     DEFAULT_MAX_BRANCHES,
     DEFAULT_MAX_CONFIGS,
@@ -34,7 +34,7 @@ from .explore import (
 )
 from .measures import classify, profile
 from .model import interaction_rule_text, validate
-from .multiset import MultisetSyntaxError, parse_multiset
+from .multiset import EMPTY, MultisetSyntaxError, parse_multiset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,6 +136,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    input_objects = EMPTY
     if args.region is not None and args.accept is None:
         print("error: --region requires --accept", file=sys.stderr)
         return EXIT_USAGE
@@ -149,12 +150,10 @@ def cmd_run(args) -> int:
             print(f"error: bad --accept multiset: {err}", file=sys.stderr)
             return EXIT_USAGE
     engine = Engine(_validated_system(args.file))
-    if args.accept is None:
-        start = engine.initial()
-    elif args.region in engine.labels:
+    try:
         start = engine.initial(input_objects, args.region)
-    else:
-        print(f"error: no region labeled {args.region}", file=sys.stderr)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     trace = engine._running(start, args.seed, args.max_steps, args.policy)
     for line in trace_to_lines(engine, trace):
@@ -273,7 +272,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-steps", type=_at_least(0), default=10_000)
     p.add_argument(
         "--policy",
-        choices=("enumerate-uniform", "greedy-random"),
+        choices=POLICIES,
         default="enumerate-uniform",
         help="enumerate-uniform lists every maximal step and picks one; a step whose"
         " listing overflows 10,000 falls back to greedy-random, after up to 640,000"

@@ -190,6 +190,13 @@ class TraceStep:
 
 @dataclass
 class Trace:
+    """One computation from `initial`; `halted` means no rule can apply at `final`.
+
+    `steps` is a list when `Engine.run` or `run_accepting` returns the
+    trace. The trace `Engine._running` returns yields its steps once, as
+    they are taken, and `halted` is settled when they run out.
+    """
+
     initial: Configuration
     steps: list[TraceStep] = field(default_factory=list)
     halted: bool = False
@@ -273,6 +280,9 @@ def _shuffle(items: list, draws: list[tuple[int, int]], rng: random.Random) -> N
         items[i], items[j] = items[j], items[i]
 
 
+POLICIES = ("enumerate-uniform", "greedy-random")
+
+
 def _unbounded(rule: TransferRule) -> UnboundedStepError:
     return UnboundedStepError(f"rule {rule.rid} {rule.text} consumes only unlimited objects")
 
@@ -322,6 +332,9 @@ class Engine:
             for tables in (takes, gives)
         )
         self._start = tuple([start.get(pair, 0) for pair in slots])
+        # The greedy pass shuffles these pairs; seeded traces pin their draws.
+        self._order = list(enumerate(self._takes))
+        self._draws = _draws(len(self._order))
 
     def initial(
         self, input_objects: Multiset = EMPTY, input_region: Optional[int] = None
@@ -495,8 +508,8 @@ class Engine:
         """Run one computation, choosing among maximal steps with `seed`.
 
         policy "enumerate-uniform" lists all maximal steps and picks one
-        uniformly; if the listing overflows `cap` the step falls back to
-        "greedy-random" and the trace step carries a note saying so.
+        uniformly; if the listing is incomplete, past `cap` or its work
+        limit, the step falls back to "greedy-random" with a note saying so.
         policy "greedy-random" saturates rules in a shuffled order; it
         is cheap but weights step choices unevenly.
         """
@@ -514,10 +527,9 @@ class Engine:
     ) -> Trace:
         """A computation from `start` whose steps are taken as `steps` is iterated.
 
-        `steps` is a one-pass iterator of TraceSteps; `halted` is settled
-        once it runs out. The policy is checked here, before any step.
+        The policy is checked here, before any step.
         """
-        if policy not in ("enumerate-uniform", "greedy-random"):
+        if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         trace = Trace(start)
         trace.steps = self._steps(trace, random.Random(seed), max_steps, policy, cap)
@@ -528,23 +540,21 @@ class Engine:
     ) -> Iterator[TraceStep]:
         c = trace.initial
         layout, counts = self._counts(c)
-        tables = self._greedy_tables()
         for _ in range(max_steps):
             note = None
             if policy == "enumerate-uniform":
                 steps, complete = self.maximal_steps(c, cap)
-                if not steps:
-                    trace.halted = True
-                    return
-                if complete:
+                if steps and complete:
                     choice = steps[rng.randrange(len(steps))]
                     c = self.apply(c, choice)
                     layout, counts = c._layout, c._counts
                     yield TraceStep(choice, c)
                     continue
-                note = "greedy-random fallback: maximal-step listing overflowed"
-            # All takes come from the old counts, then all gives are added.
-            granted, pools = self._greedy_pass(counts, rng, tables)
+                if not complete:
+                    note = "greedy-random fallback: maximal-step listing overflowed"
+            # Only this pass decides halting: it grants nothing when no rule
+            # can apply. All takes come from the old counts, then all gives.
+            granted, pools = self._greedy_pass(counts, rng)
             if not granted:
                 trace.halted = True
                 return
@@ -556,31 +566,20 @@ class Engine:
 
     def _greedy_step(self, c: Configuration, rng: random.Random) -> StepChoice:
         """Build one maximal step by saturating rules in shuffled order."""
-        granted, _ = self._greedy_pass(self._counts(c)[1], rng, self._greedy_tables())
+        granted, _ = self._greedy_pass(self._counts(c)[1], rng)
         return StepChoice(tuple(granted))
 
-    def _greedy_tables(self) -> tuple[list[tuple[int, _Table]], list[tuple[int, int]]]:
-        """The (index, take table) pair of every rule, in rule order, and their `_draws`."""
-        order = list(enumerate(self._takes))
-        return order, _draws(len(order))
-
     def _greedy_pass(
-        self,
-        counts: tuple[int, ...],
-        rng: random.Random,
-        tables: tuple[list[tuple[int, _Table]], list[tuple[int, int]]],
+        self, counts: tuple[int, ...], rng: random.Random
     ) -> tuple[list[tuple[int, int]], list[int]]:
         """Saturate rules in shuffled order, taking from a copy of `counts`.
 
-        `tables` comes from `_greedy_tables`, made once per run. Returns
-        the granted (index, m) pairs in index order and the residual
-        pools. Availability only shrinks as rules are granted, so one pass
-        leaves nothing extendable.
+        Returns the granted (index, m) pairs in index order and the
+        residual pools. Availability only shrinks as rules are granted, so
+        one pass leaves nothing extendable.
         """
-        # The shuffle's draws depend only on the length, which seeded traces pin.
-        order, draws = tables
-        order = order[:]
-        _shuffle(order, draws, rng)
+        order = self._order[:]
+        _shuffle(order, self._draws, rng)
         pools = list(counts)
         granted = []
         for index, need in order:

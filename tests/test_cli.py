@@ -179,8 +179,9 @@ def test_run_accept_usage_errors(tmp_path, capsys):
     assert code == 1 and "--region" in err
     code, _, err = invoke(capsys, "run", path, "--accept", "a^0", "--region", "1")
     assert code == 1 and "multiset" in err
-    code, _, err = invoke(capsys, "run", path, "--accept", "a", "--region", "9")
-    assert code == 1 and "region" in err
+    code, out, err = invoke(capsys, "run", path, "--accept", "a", "--region", "9")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: no region labeled 9"]
 
 
 def test_run_region_without_accept_exits_one(tmp_path, capsys):

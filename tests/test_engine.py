@@ -388,8 +388,14 @@ def chosen_then_applied(eng, start, rng, max_steps, policy, cap):
     return out, eng.is_halted(c)
 
 
-# Cap 1 makes most enumerate-uniform steps fall back to greedy, with a note.
-POLICIES = (("greedy-random", 10_000), ("enumerate-uniform", 1), ("enumerate-uniform", 10_000))
+# Cap 1 makes most enumerate-uniform steps fall back to greedy, with a note;
+# cap 0 makes every step fall back.
+POLICIES = (
+    ("greedy-random", 10_000),
+    ("enumerate-uniform", 0),
+    ("enumerate-uniform", 1),
+    ("enumerate-uniform", 10_000),
+)
 
 
 def test_fused_steps_equal_choose_then_apply():
