@@ -416,16 +416,23 @@ class Engine:
 
         Returns (choices, complete). complete is False when `cap` many
         choices were found and more may exist, or when the enumeration
-        work limit was hit on a pathologically wide configuration.
+        work limit was hit on a pathologically wide configuration. The
+        work limit can only cut a listing in which enabled rules compete
+        for an object: without such a pair the one step is found directly.
         """
         held = self._counts(c)[1]
         enabled = self._enabled(held)
         if not enabled:
             return (), True
+        # When no two rules in play take from one slot, a rule below its top
+        # multiplicity could always fire once more, so every rule at its top
+        # is the only maximal step. One rule in play is the cheapest case.
         if len(enabled) == 1:
-            # One rule in play: its top multiplicity is the only maximal step.
             return ((StepChoice(tuple(enabled)),), True) if cap >= 1 else ((), False)
         in_play = [(index, self._takes[index]) for index, _ in enabled]
+        slots = [slot for _, need in in_play for slot, _ in need]
+        if len(set(slots)) == len(slots):
+            return ((StepChoice(tuple(enabled)),), True) if cap >= 1 else ((), False)
         pools = list(held)
         counts = [0] * len(in_play)
         choices: list[StepChoice] = []

@@ -133,6 +133,24 @@ def standalone_bound(rule, regions, env_finite, env_inf) -> int:
     return bound
 
 
+def enabled_takes(sys, regions, env_finite) -> list[set[tuple[int, str]]]:
+    """The (node, name) pairs taken by each rule applicable at least once.
+
+    Objects in the unlimited supply are left out: no rule uses them up.
+    """
+    env_inf = set(sys.env_support)
+    return [
+        {
+            (node, name)
+            for node, needs in con.items()
+            for name in needs
+            if node or name not in env_inf
+        }
+        for con, pro in norm_rules(sys)
+        if standalone_bound((con, pro), regions, env_finite, env_inf)
+    ]
+
+
 def maximal_steps_oracle(sys, regions, env_finite) -> set[frozenset[tuple[int, int]]]:
     """Every maximal step as a frozenset of (rule position, multiplicity)."""
     env_inf = set(sys.env_support)

@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -26,9 +28,11 @@ from psys.model import (
     validate,
 )
 from psys.multiset import EnvContent, Multiset, MultisetUnderflow, parse_multiset
+from psys.rm import compile_machine
 
 from gen import random_cell_system, random_shared_system, random_system
-from oracles import apply_oracle, maximal_steps_oracle, norm_rules, state_of
+from machines import verification_suite
+from oracles import apply_oracle, enabled_takes, maximal_steps_oracle, norm_rules, state_of
 
 
 def ms(text):
@@ -140,6 +144,27 @@ def test_last_rule_in_play_tries_only_its_top_multiplicity():
     # cap 1) and report the one-step listing as incomplete.
     eng = Engine(cell([CellRule(1, SymportOut(ms("a")))], init="a^70000"))
     assert eng.maximal_steps(eng.initial(), cap=1) == ((StepChoice(((0, 70000),)),), True)
+    assert eng.maximal_steps(eng.initial(), cap=0) == ((), False)
+
+
+@pytest.mark.parametrize("k, cap", [(18, 1), (21, 10_000)])
+def test_rules_taking_disjoint_objects_form_one_step_without_search(k, cap):
+    # The k rules (o_i, out) take nothing in common, so all of them at
+    # their tops is the only maximal step. Searching the lower counts too
+    # would visit 2^(k-1) leaves, past the work limit (65,536 at cap 1,
+    # 640,000 at cap 10,000), and report the listing as incomplete.
+    names = [f"o{i}" for i in range(k)]
+    eng = Engine(
+        cell(
+            [CellRule(1, SymportOut(ms(name))) for name in names],
+            init=" ".join(names),
+            alphabet=tuple(names),
+        )
+    )
+    start = time.perf_counter()
+    got = eng.maximal_steps(eng.initial(), cap=cap)
+    assert time.perf_counter() - start < 1.0
+    assert got == ((StepChoice(tuple((i, 1) for i in range(k))),), True)
     assert eng.maximal_steps(eng.initial(), cap=0) == ((), False)
 
 
@@ -534,12 +559,28 @@ def test_conservation_of_bounded_objects():
 
 def test_maximal_steps_agree_with_brute_force_oracle():
     rng = random.Random(32)
-    for _ in range(150):
-        sys = random_system(rng)
+
+    def cases():
+        for _ in range(150):
+            yield random_system(rng), 3
+        # The compiled machines' Sub gadget fires two rules in its middle
+        # step that take nothing in common.
+        for machine in verification_suite():
+            yield compile_machine(machine).system, 12
+
+    # Configurations with two or more enabled rules, by whether some pair
+    # of them takes from one pool: the engine lists the disjoint kind
+    # without search and searches the shared kind.
+    kinds = Counter()
+    for sys, depth in cases():
         eng = Engine(sys)
         c = eng.initial()
-        for _depth in range(3):
+        for _depth in range(depth):
             regions, env_finite = state_of(sys, c)
+            takes = enabled_takes(sys, regions, env_finite)
+            if len(takes) >= 2:
+                slots = [slot for take in takes for slot in take]
+                kinds["disjoint" if len(set(slots)) == len(slots) else "shared"] += 1
             expected = maximal_steps_oracle(sys, regions, env_finite)
             got, complete = eng.maximal_steps(c, cap=5_000)
             assert complete
@@ -552,6 +593,7 @@ def test_maximal_steps_agree_with_brute_force_oracle():
             c = eng.apply(c, rng.choice(got))
             if c.total_tracked > 40:
                 break
+    assert kinds["disjoint"] >= 10 and kinds["shared"] >= 20, kinds
 
 
 def test_cell_and_tissue_encodings_step_identically():
