@@ -53,7 +53,7 @@ class _Layout:
     so every slot index of the engine's rules stays valid.
     """
 
-    __slots__ = ("slots", "index", "labels", "infinite", "nodes", "base")
+    __slots__ = ("slots", "index", "labels", "infinite", "nodes", "base", "order", "pair_hashes")
 
     def __init__(
         self,
@@ -71,9 +71,17 @@ class _Layout:
         self.nodes: dict[int, list[tuple[int, str]]] = {node: [] for node in (*labels, 0)}
         for i, (node, name) in enumerate(slots):
             self.nodes[node].append((i, name))
+        # Hashing walks the slots in (node, name) order, the order of every
+        # layout made without a base. Appended slots can break it; `order`
+        # then permutes a count vector into it.
+        self.order = None
         if base is not None:
             for entries in self.nodes.values():
                 entries.sort(key=itemgetter(1))
+            order = sorted(range(len(slots)), key=slots.__getitem__)
+            if order != list(range(len(slots))):
+                self.order, slots = order, [slots[i] for i in order]
+        self.pair_hashes = tuple(map(hash, slots))
 
     def contents(self, counts: tuple[int, ...], node: int) -> dict[str, int]:
         """Name -> count of the objects at `node`, in name order."""
@@ -95,19 +103,17 @@ class Configuration:
         entries = {(label, name): k for label, ms in regions.items() for name, k in ms.items()}
         entries.update(((0, name), k) for name, k in env.finite.items())
         slots = tuple(sorted(entries))
-        layout = _Layout(slots, tuple(regions), env.infinite)
-        self._set(layout, tuple([entries[pair] for pair in slots]))
+        _set_layout(self, _Layout(slots, tuple(regions), env.infinite))
+        _set_counts(self, tuple([entries[pair] for pair in slots]))
+        _set_hash(self, None)
 
     @classmethod
     def _of(cls, layout: _Layout, counts: tuple[int, ...]) -> "Configuration":
         c = object.__new__(cls)
-        c._set(layout, counts)
+        _set_layout(c, layout)
+        _set_counts(c, counts)
+        _set_hash(c, None)
         return c
-
-    def _set(self, layout: _Layout, counts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
@@ -156,13 +162,26 @@ class Configuration:
         )
 
     def __hash__(self) -> int:
+        # The (node, name) hashes, then the counts, of the objects held, in
+        # (node, name) order: equal contents hash alike on any layout. One
+        # tuple of known size: tuple() of an iterator over-allocates and
+        # shrinks, and the shrunk tuples pile up on CPython's free lists.
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._held())))
+            layout, counts = self._layout, self._counts
+            if layout.order is not None:
+                counts = [counts[i] for i in layout.order]
+            _set_hash(self, hash((*compress(layout.pair_hashes, counts), *filter(None, counts))))
         return self._hash
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{label}: {ms}" for label, ms in sorted(self.regions.items()))
         return f"<Configuration {{{inside}}} env {self.env.finite}>"
+
+
+# Set a Configuration's slots past its __setattr__, which refuses every write.
+_set_layout, _set_counts, _set_hash = (
+    Configuration.__dict__[name].__set__ for name in Configuration.__slots__
+)
 
 
 @dataclass(frozen=True)
@@ -484,18 +503,24 @@ class Engine:
         An inapplicable choice surfaces as a multiset underflow, which
         indicates a defect in the caller, not bad user input.
         """
-        layout, counts = self._counts(c)
+        return self._successor(*self._counts(c), choice.applications)
+
+    def _successor(
+        self, layout: _Layout, counts: tuple[int, ...], applications
+    ) -> Configuration:
+        """The configuration after `applications`: all takes from `counts`, then all gives."""
         pools = list(counts)
-        for index, m in choice.applications:
-            for slot, count in self._takes[index]:
+        takes = self._takes
+        for index, m in applications:
+            for slot, count in takes[index]:
                 left = pools[slot] - m * count
                 if left < 0:
                     node, name = layout.slots[slot]
                     raise MultisetUnderflow(
-                        f"step {choice.applications} takes more {name} than node {node} holds"
+                        f"step {applications} takes more {name} than node {node} holds"
                     )
                 pools[slot] = left
-        self._give(pools, choice.applications)
+        self._give(pools, applications)
         return Configuration._of(layout, tuple(pools))
 
     def _give(self, pools: list[int], applications) -> None:

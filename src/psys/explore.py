@@ -107,11 +107,15 @@ def _walk(
     halting_leaves = 0
     cut_branches = 0
     witness = None
+    # Successors are built on the count vector of the engine's layout,
+    # onto which `start` is lowered once.
+    layout, counts = engine._counts(start)
+    successor_of = engine._successor
     visited = {start}
-    queue: deque[tuple[Configuration, int]] = deque([(start, 0)])
+    queue: deque[tuple[Configuration, tuple[int, ...], int]] = deque([(start, counts, 0)])
     while queue:
-        config, depth = queue.popleft()
-        over = config.total_tracked > budget.max_total_objects
+        config, counts, depth = queue.popleft()
+        over = sum(counts) > budget.max_total_objects
         if over and not stop_at_branching:
             # Past the object budget only halting counts: skip the listing.
             halted = engine.is_halted(config)
@@ -134,7 +138,7 @@ def _walk(
             cut_branches += 1
             continue
         for choice in steps:
-            successor = engine.apply(config, choice)
+            successor = successor_of(layout, counts, choice.applications)
             if on_edge is not None:
                 on_edge(config, choice, successor)
             if successor in visited:
@@ -143,7 +147,7 @@ def _walk(
                 cut_branches += 1
                 continue
             visited.add(successor)
-            queue.append((successor, depth + 1))
+            queue.append((successor, successor._counts, depth + 1))
     outcome = ExploreOutcome(
         results=frozenset(results),
         exhausted=cut_branches == 0,

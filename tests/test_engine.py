@@ -705,6 +705,10 @@ def test_configuration_contract_holds_across_construction_routes():
     eng = Engine(sys)
     walk = list(eng.run(seed=3, max_steps=12).configurations())
     walk.append(eng.initial(ms("zzz c"), 2))
+    # zzz in region 1 gets a slot after region 2's: hashing must permute.
+    _, trace = eng.run_accepting(ms("zzz"), 1, seed=3, max_steps=12)
+    walk += trace.configurations()
+    assert any(list(c._layout.slots) != sorted(c._layout.slots) and c.regions[2] for c in walk)
     for c in walk:
         rebuilt = Configuration(c.regions, c.env)
         assert c == rebuilt and rebuilt == c and hash(c) == hash(rebuilt)

@@ -23,8 +23,8 @@ from psys.model import (
 from psys.multiset import Multiset, parse_multiset
 
 from corpus import deterministic_minimal_corpus
-from gen import random_system
-from oracles import naive_results
+from gen import random_shared_system, random_system
+from oracles import apply_oracle, naive_results, state_of
 
 
 def ms(text):
@@ -227,6 +227,31 @@ def test_explore_matches_naive_recursion():
         assert outcome.results == frozenset(expected), sys
         compared += 1
     assert compared >= 40  # most small systems settle within the budget
+
+
+def test_walk_successors_equal_apply_and_the_oracle():
+    # The walk builds successors on the count vector, not through apply;
+    # every edge it reports must still be apply's, and the oracle's.
+    rng = random.Random(47)
+    budget = ExploreBudget(max_depth=12, max_total_objects=30, max_configs=400)
+    edges = outside = 0
+    for k in range(300):
+        sys = random_shared_system(rng) if k % 3 == 0 else random_system(rng, max_rules=4)
+        eng = Engine(sys)
+        starts = [eng.initial(), eng.initial(ms("zz^2 o1"), rng.choice(list(eng.labels)))]
+        for start in starts:
+
+            def check(config, choice, successor):
+                nonlocal edges, outside
+                assert successor == eng.apply(config, choice), (sys, config, choice)
+                regions, env_finite = state_of(sys, config)
+                after = apply_oracle(sys, regions, env_finite, choice.applications)
+                assert state_of(sys, successor) == after, (sys, config, choice)
+                edges += 1
+                outside += successor._layout is not eng._layout
+
+            explore(eng, budget, start=start, on_edge=check)
+    assert edges >= 1_400 and outside >= 800, (edges, outside)
 
 
 def test_results_grow_with_budget():
