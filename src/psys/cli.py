@@ -52,6 +52,8 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; our contract reserves 2 for
     validation failures, so remap to 1."""
 
+    commands: dict[str, "_Parser"]  # the top parser's: each command's own parser
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -73,6 +75,13 @@ def _at_least(low: int):
 
 
 def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            return f.read()
+    except OSError:
+        pass
+    # Read again as pathlib reads the path, so that `t.psys/` still means
+    # `t.psys` and the message names the same path as ever.
     try:
         return Path(path).read_text(encoding="utf-8", errors="replace")
     except OSError as err:
@@ -317,12 +326,22 @@ def build_parser() -> _Parser:
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_rm_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # What the top parser does with a leading command name, without
+        # first scanning every argument against its own options.
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return EXIT_USAGE

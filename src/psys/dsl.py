@@ -54,6 +54,7 @@ from .multiset import (
     parse_count,
     parse_multiset,
     quoted,
+    token_starts,
 )
 from .rm import Add, Halt, Instruction, RegisterMachine, Sub
 
@@ -374,13 +375,14 @@ def _parse_system_inner(text: str, out: _Collector):
             else:
                 model = word
         elif name in ("objects", "env"):
-            names = objects if name == "objects" else env
-            for tok in re.finditer(r"\S+", payload):
-                word, at = tok.group(), payload_col + tok.start()
-                if is_valid_name(word):
-                    names.append(word)
-                else:
-                    out.add(line, at, BAD_PAYLOAD, f"invalid object name {quoted(word)}")
+            words = payload.split()
+            if all(map(is_valid_name, words)):
+                (objects if name == "objects" else env).extend(words)
+            else:
+                for word, start in zip(words, token_starts(payload)):
+                    if not is_valid_name(word):
+                        at = payload_col + start
+                        out.add(line, at, BAD_PAYLOAD, f"invalid object name {quoted(word)}")
         elif name == "membranes":
             structure_field = (payload, line, payload_col)
         elif name == "cells":
@@ -401,7 +403,7 @@ def _parse_system_inner(text: str, out: _Collector):
                 continue
             ms = _parse_ms(payload[m2.end() :], line, payload_col + m2.end(), out)
             if ms is not None:
-                init[label] = init.get(label, Multiset()) + ms
+                init[label] = init[label] + ms if label in init else ms
         elif name == "rules":
             rule_lines.append((line, payload_col, payload))
         elif name == "output":

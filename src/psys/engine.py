@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
@@ -317,37 +316,41 @@ class Engine:
 
     def __init__(self, sys: PSystem):
         cell = isinstance(sys, CellPSystem)
-        self.labels = sys.structure.labels if cell else range(1, sys.n_cells + 1)
+        self.labels = labels = sys.structure.labels if cell else range(1, sys.n_cells + 1)
         self.output = sys.output
         unlimited = frozenset(sys.env_support)
         start = {
             (label, name): count
-            for label in self.labels
-            for name, count in sys.initial_contents(label).items()
+            for label, contents in sys.init.items()
+            if label in labels
+            for name, count in contents.items()
         }
         # A rule takes its moves' objects at their sources and gives them
         # at their destinations: (node, name) -> count. The unlimited
         # supply at node 0 is neither tracked nor consumed. Ids are
         # positional, so systems derived rule-for-rule keep aligned ids.
         rules, takes, gives = [], [], []
+        pairs = set(start)
         for pos, rule in enumerate(sys.rules):
             text, moves = _moves(sys, rule)
-            take, give = Counter(), Counter()
+            take, give = {}, {}
             for src, objects, dst in moves:
                 for name, count in objects.items():
                     if src or name not in unlimited:
-                        take[src, name] += count
+                        take[src, name] = take.get((src, name), 0) + count
                     if dst or name not in unlimited:
-                        give[dst, name] += count
+                        give[dst, name] = give.get((dst, name), 0) + count
             rules.append(TransferRule(pos, f"r{pos + 1}", text))
             takes.append(take)
             gives.append(give)
+            pairs.update(take, give)
         self.rules = tuple(rules)
-        slots = tuple(sorted(start.keys() | {pair for table in takes + gives for pair in table}))
-        self._layout = layout = _Layout(slots, tuple(self.labels), unlimited)
+        slots = tuple(sorted(pairs))
+        self._layout = layout = _Layout(slots, tuple(labels), unlimited)
         index = layout.index
+        # Slots follow (node, name) order, so sorting by slot sorts by pair.
         self._takes, self._gives = (
-            [tuple([(index[pair], table[pair]) for pair in sorted(table)]) for table in tables]
+            [tuple(sorted([(index[pair], k) for pair, k in table.items()])) for table in tables]
             for tables in (takes, gives)
         )
         self._start = tuple([start.get(pair, 0) for pair in slots])

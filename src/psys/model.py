@@ -332,7 +332,7 @@ def interaction_rule_text(rule: Union[InteractionRule, UniportRule]) -> str:
 
 
 def _check_objects(ms: Multiset, alphabet: frozenset[str], where: str, out: list[Violation]):
-    unknown = sorted(name for name, _ in ms.items() if name not in alphabet)
+    unknown = [name for name, _ in ms.items() if name not in alphabet]  # in name order
     if unknown:
         out.append(Violation(OBJECT_NOT_DECLARED, where, f"undeclared objects: {unknown}"))
 
@@ -403,7 +403,7 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
     """
     problems = sys.structure.problems()
     tree_ok = not problems
-    labels = set(sys.structure.labels)
+    labels = sys.structure.labels
 
     def check_rule(idx, rule, out):
         where = f"rule {idx + 1} at region {rule.region}"
@@ -425,7 +425,7 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
 
 def _validate_cells(sys, check_rule) -> ValidationReport:
     """The skeleton for tissue and interaction systems: cells 1..n_cells."""
-    cells = set(range(1, sys.n_cells + 1))
+    cells = range(1, sys.n_cells + 1)
     shape = output = ()
     if sys.n_cells < 1:
         message = f"cell count must be positive, got {sys.n_cells}"

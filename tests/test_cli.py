@@ -112,6 +112,16 @@ def test_validate_pretty(tmp_path, capsys):
     assert "V001" in out
 
 
+def test_paths_read_and_fail_as_pathlib_reads_them(tmp_path, capsys):
+    good = put(tmp_path, "s.psys", VALID)
+    assert invoke(capsys, "validate", good + "/")[0] == 0  # pathlib drops the slash
+    for path in ("", str(tmp_path), f"{tmp_path}/./missing.psys", f"{tmp_path}//missing.psys"):
+        with pytest.raises(OSError) as err:
+            Path(path).read_text()
+        message = f"error: cannot read {path}: {err.value}\n"
+        assert invoke(capsys, "validate", path) == (1, "", message)
+
+
 def test_validate_unparseable(tmp_path, capsys):
     code, _, err = invoke(capsys, "validate", put(tmp_path, "s.psys", "garbage\n"))
     assert code == 1
@@ -347,7 +357,32 @@ def test_run_max_steps_must_not_be_negative(tmp_path, capsys):
     assert code == 3 and json.loads(out.splitlines()[-1]) == {"halted": False, "steps": 0}
 
 
+def _reference_main(argv):
+    """cli.main with every argv read by the top parser, as argparse alone would."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if not hasattr(args, "func"):
+        parser.print_help(sys.stderr)
+        return cli.EXIT_USAGE
+    try:
+        return args.func(args)
+    except cli._CliFailure as failure:
+        return failure.code
+
+
+def _outcome(main, argv, capsys):
+    """(exit code, stdout, stderr) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_argv_fuzz_maps_every_input_to_an_exit_code(tmp_path, capsys, monkeypatch):
+    """Every argv exits with a documented code, and cli.main's direct
+    dispatch to a command's parser answers exactly as the top parser would."""
     monkeypatch.chdir(tmp_path)  # compile-rm -o writes relative paths here
     files = [
         put(tmp_path, "t.psys", TWO_BRANCH),
@@ -377,7 +412,13 @@ def test_argv_fuzz_maps_every_input_to_an_exit_code(tmp_path, capsys, monkeypatc
     ]
     values += files
     rng = random.Random(5150)
-    codes = []
+    argvs = [
+        ["explore", files[0], "--bogus"],
+        ["--pretty", "explore", files[0]],
+        ["explore", "--help"],
+        ["frobnicate"],
+        [],
+    ]
     for _ in range(300):
         command = rng.choice(sorted(flags))
         argv = [command] if rng.random() < 0.95 else []
@@ -389,11 +430,12 @@ def test_argv_fuzz_maps_every_input_to_an_exit_code(tmp_path, capsys, monkeypatc
                 argv.append(rng.choice(values))
         if rng.random() < 0.2:
             rng.shuffle(argv)
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors and --help
-            code = exc.code
-        err = capsys.readouterr().err
+        argvs.append(argv)
+    codes = []
+    for argv in argvs:
+        outcome = _outcome(cli.main, argv, capsys)
+        assert outcome == _outcome(_reference_main, argv, capsys), argv
+        code, _, err = outcome
         assert code in (0, 1, 2, 3, 4), argv
         assert "Traceback" not in err, argv
         codes.append(code)

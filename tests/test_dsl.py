@@ -261,6 +261,30 @@ def test_diagnostics_are_positioned_and_printable():
     assert str(d).startswith(f"{d.line}:{d.column}: {d.code}:")
 
 
+def test_invalid_object_names_are_located_wherever_they_stand():
+    # Columns are 1-based and a tab counts as one column.
+    text = (
+        "@model cell\n"
+        "@objects a 9x b c-d\n"  # in the middle, at 12, and at the end, at 17
+        "@env b\t1y c\t$\n"  # in the middle, at 8, and at the end, at 13, after tabs
+        "@membranes 1\n"
+        "@init 1: a\tb^x\n"  # a bad count: the multiset's item, at 12
+        "@output 1\n"
+    )
+    sys, diags = parse_system(text)
+    assert sys is None
+    assert [(d.line, d.column, d.code) for d in diags] == [
+        (2, 12, BAD_PAYLOAD),
+        (2, 17, BAD_PAYLOAD),
+        (3, 8, BAD_PAYLOAD),
+        (3, 13, BAD_PAYLOAD),
+        (5, 12, BAD_MULTISET),
+    ]
+    assert [d.message for d in diags[:4]] == [
+        f"invalid object name {name!r}" for name in ("9x", "c-d", "1y", "$")
+    ]
+
+
 def test_round_trip_generated_systems():
     rng = random.Random(51)
     for _ in range(100):

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from psys.dsl import parse_system
 from psys.model import (
     BAD_OBJECT_NAME,
     BAD_STRUCTURE,
@@ -239,6 +241,26 @@ def test_tissue_node_range_and_empty_sides():
     got = codes(report)
     assert NODE_OUT_OF_RANGE in got
     assert EMPTY_RULE_SIDE in got
+
+
+def test_validation_memory_does_not_grow_with_the_cell_count():
+    cells = 1_000_000
+    tissue_sys, _ = parse_system(
+        "@model tissue\n@objects a b\n@env b\n"
+        f"@cells {cells}\n@init 1: a\n@rules: (1, a / b, 0)\n@output 1\n"
+    )
+    interaction_sys = InteractionSystem(
+        {"a", "b"}, cells, {1: ms("a")}, {"b"}, [InteractionRule("a", 1, "b", 0, 0, 1)], 1
+    )
+    for sys in (tissue_sys, interaction_sys):
+        tracemalloc.start()
+        try:
+            report = validate(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok, report
+        assert peak < 2**20, peak
 
 
 def test_tissue_antiport_touching_env_is_unrestricted():

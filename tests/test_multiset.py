@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 
@@ -37,6 +40,42 @@ def test_constructor_rejects_bad_counts():
         Multiset({"a": 1.5})
     with pytest.raises(TypeError):
         Multiset({"a": True})
+
+
+class _Plain(Mapping):
+    """A Mapping that is no dict and inherits from none."""
+
+    def __init__(self, counts):
+        self._counts = dict(counts)
+
+    def __getitem__(self, name):
+        return self._counts[name]
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __len__(self):
+        return len(self._counts)
+
+
+MAPPINGS = [dict, Counter, lambda counts: MappingProxyType(dict(counts)), _Plain]
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS)
+def test_any_mapping_builds_the_multiset_a_dict_builds(mapping):
+    counts = {"b": 2, "a": 1, "c": 0}
+    built = Multiset(mapping(counts))
+    assert built == Multiset(counts) == ms("a b^2")
+    assert built.items() == (("a", 1), ("b", 2))
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS)
+@pytest.mark.parametrize(
+    "count, error", [(-1, ValueError), (1.0, TypeError), (1.5, TypeError), (True, TypeError)]
+)
+def test_any_mapping_rejects_bad_counts_as_a_dict_does(mapping, count, error):
+    with pytest.raises(error):
+        Multiset(mapping({"a": 1, "b": count}))
 
 
 def test_constructor_from_iterable():
