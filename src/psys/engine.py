@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import (
     CellAntiport,
@@ -57,7 +57,7 @@ class _Layout:
     def __init__(
         self,
         slots: tuple[tuple[int, str], ...],
-        labels: tuple[int, ...],
+        labels: Sequence[int],
         infinite: frozenset[str],
         base: Optional["_Layout"] = None,
     ):
@@ -66,10 +66,11 @@ class _Layout:
         self.labels = labels
         self.infinite = infinite
         self.base = base or self
-        # node -> [(slot, name), ...] in name order, appended slots included.
-        self.nodes: dict[int, list[tuple[int, str]]] = {node: [] for node in (*labels, 0)}
+        # node -> [(slot, name), ...] in name order, appended slots included,
+        # for the nodes that hold slots only: a system may have 10^6 cells.
+        self.nodes: dict[int, list[tuple[int, str]]] = {}
         for i, (node, name) in enumerate(slots):
-            self.nodes[node].append((i, name))
+            self.nodes.setdefault(node, []).append((i, name))
         # Hashing walks the slots in (node, name) order, the order of every
         # layout made without a base. Appended slots can break it; `order`
         # then permutes a count vector into it.
@@ -84,7 +85,7 @@ class _Layout:
 
     def contents(self, counts: tuple[int, ...], node: int) -> dict[str, int]:
         """Name -> count of the objects at `node`, in name order."""
-        return {name: counts[i] for i, name in self.nodes[node] if counts[i]}
+        return {name: counts[i] for i, name in self.nodes.get(node, ()) if counts[i]}
 
 
 class Configuration:
@@ -132,7 +133,7 @@ class Configuration:
         if label not in self._layout.labels:
             raise KeyError(label)
         counts = self._counts
-        return sum([counts[i] for i, _ in self._layout.nodes[label]])
+        return sum([counts[i] for i, _ in self._layout.nodes.get(label, ())])
 
     @property
     def total_inside(self) -> int:
@@ -346,7 +347,7 @@ class Engine:
             pairs.update(take, give)
         self.rules = tuple(rules)
         slots = tuple(sorted(pairs))
-        self._layout = layout = _Layout(slots, tuple(labels), unlimited)
+        self._layout = layout = _Layout(slots, labels, unlimited)
         index = layout.index
         # Slots follow (node, name) order, so sorting by slot sorts by pair.
         self._takes, self._gives = (
@@ -506,12 +507,13 @@ class Engine:
         An inapplicable choice surfaces as a multiset underflow, which
         indicates a defect in the caller, not bad user input.
         """
-        return self._successor(*self._counts(c), choice.applications)
+        layout, counts = self._counts(c)
+        return Configuration._of(layout, self._after(layout, counts, choice.applications))
 
-    def _successor(
+    def _after(
         self, layout: _Layout, counts: tuple[int, ...], applications
-    ) -> Configuration:
-        """The configuration after `applications`: all takes from `counts`, then all gives."""
+    ) -> tuple[int, ...]:
+        """The counts after `applications`: all takes from `counts`, then all gives."""
         pools = list(counts)
         takes = self._takes
         for index, m in applications:
@@ -524,7 +526,7 @@ class Engine:
                     )
                 pools[slot] = left
         self._give(pools, applications)
-        return Configuration._of(layout, tuple(pools))
+        return tuple(pools)
 
     def _give(self, pools: list[int], applications) -> None:
         """Add the products of `applications` to the pools in place: a step's second phase."""
@@ -670,7 +672,7 @@ def trace_to_lines(engine: Engine, trace: Trace) -> Iterator[str]:
         if layout not in keys:
             # [(slot, '"name": '), ...] for each region, then for the environment.
             keys[layout] = [
-                [(i, f"{json.dumps(name)}: ") for i, name in layout.nodes[node]]
+                [(i, f"{json.dumps(name)}: ") for i, name in layout.nodes.get(node, ())]
                 for node in (*layout.labels, 0)
             ]
         *regions, env = [

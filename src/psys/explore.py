@@ -97,7 +97,13 @@ def _walk(
     on_edge: Optional[EdgeHook] = None,
     stop_at_branching: bool = False,
 ) -> tuple[ExploreOutcome, Optional[Configuration]]:
-    """Breadth-first walk from `start`, memoizing visited configurations.
+    """Breadth-first walk from `start`, memoizing visited count vectors.
+
+    `start` is lowered once onto the engine's layout, and every successor
+    keeps that one layout, so the memo set and the queue hold bare count
+    tuples: equal tuples are equal contents. A `Configuration` is made
+    for each expanded count vector, for the engine's listing and halting
+    checks, and for each successor only when `on_edge` is given.
 
     With `stop_at_branching` the walk ends at the first configuration
     admitting more than one maximal step and returns it as the witness,
@@ -107,14 +113,13 @@ def _walk(
     halting_leaves = 0
     cut_branches = 0
     witness = None
-    # Successors are built on the count vector of the engine's layout,
-    # onto which `start` is lowered once.
     layout, counts = engine._counts(start)
-    successor_of = engine._successor
-    visited = {start}
-    queue: deque[tuple[Configuration, tuple[int, ...], int]] = deque([(start, counts, 0)])
+    after, of = engine._after, Configuration._of
+    visited = {counts}
+    queue: deque[tuple[tuple[int, ...], int]] = deque([(counts, 0)])
     while queue:
-        config, counts, depth = queue.popleft()
+        counts, depth = queue.popleft()
+        config = of(layout, counts)
         over = sum(counts) > budget.max_total_objects
         if over and not stop_at_branching:
             # Past the object budget only halting counts: skip the listing.
@@ -138,16 +143,16 @@ def _walk(
             cut_branches += 1
             continue
         for choice in steps:
-            successor = successor_of(layout, counts, choice.applications)
+            successor = after(layout, counts, choice.applications)
             if on_edge is not None:
-                on_edge(config, choice, successor)
+                on_edge(config, choice, of(layout, successor))
             if successor in visited:
                 continue
             if len(visited) >= budget.max_configs:
                 cut_branches += 1
                 continue
             visited.add(successor)
-            queue.append((successor, successor._counts, depth + 1))
+            queue.append((successor, depth + 1))
     outcome = ExploreOutcome(
         results=frozenset(results),
         exhausted=cut_branches == 0,

@@ -13,7 +13,7 @@ raise on bad systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Union
 
 from .multiset import EMPTY, Multiset, format_multiset, is_valid_name
@@ -366,12 +366,14 @@ def _check_move(form, src: Optional[int], sys, where: str, out: list[Violation])
         out.append(Violation(code, where, message))
 
 
-def _validate(sys, shape, regions, output, check_rule) -> ValidationReport:
+def _validate(sys, shape, regions, output, check_rule, rule_text) -> ValidationReport:
     """Every kind's checks in one order: names, shape, init, rules, output.
 
     `shape` and `output` are the violations of the region layout and of
     the output label, `regions` the labels init may name, and
-    check_rule(idx, rule, out) reports one rule's violations.
+    check_rule(rule, out) reports one rule's violations with an empty
+    location. The location, "rule <n> <rule_text(rule)>", is only made
+    for a rule with a violation: most rules have none.
     """
     out = [
         Violation(BAD_OBJECT_NAME, "alphabet", f"invalid object name {name!r}")
@@ -390,7 +392,11 @@ def _validate(sys, shape, regions, output, check_rule) -> ValidationReport:
             message = f"no region labeled {label}"
             out.append(Violation(UNKNOWN_INIT_REGION, f"init {label}", message))
     for idx, rule in enumerate(sys.rules):
-        check_rule(idx, rule, out)
+        found = len(out)
+        check_rule(rule, out)
+        if len(out) > found:
+            where = f"rule {idx + 1} {rule_text(rule)}"
+            out[found:] = [replace(v, location=where) for v in out[found:]]
     out.extend(output)
     return ValidationReport(tuple(out))
 
@@ -405,13 +411,15 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
     tree_ok = not problems
     labels = sys.structure.labels
 
-    def check_rule(idx, rule, out):
-        where = f"rule {idx + 1} at region {rule.region}"
+    def check_rule(rule, out):
         if tree_ok and rule.region not in labels:
-            out.append(Violation(NODE_OUT_OF_RANGE, where, f"no membrane labeled {rule.region}"))
+            out.append(Violation(NODE_OUT_OF_RANGE, "", f"no membrane labeled {rule.region}"))
         else:
             src = cell_channel(sys.structure, rule)[0] if tree_ok else None
-            _check_move(rule.form, src, sys, where, out)
+            _check_move(rule.form, src, sys, "", out)
+
+    def rule_text(rule):
+        return f"at region {rule.region}"
 
     output = ()
     if tree_ok and sys.output not in labels:
@@ -420,10 +428,10 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
         message = f"membrane {sys.output} contains other membranes"
         output = [Violation(OUTPUT_NOT_ELEMENTARY, "output", message)]
     shape = [Violation(BAD_STRUCTURE, "structure", problem) for problem in problems]
-    return _validate(sys, shape, labels, output, check_rule)
+    return _validate(sys, shape, labels, output, check_rule, rule_text)
 
 
-def _validate_cells(sys, check_rule) -> ValidationReport:
+def _validate_cells(sys, check_rule, rule_text) -> ValidationReport:
     """The skeleton for tissue and interaction systems: cells 1..n_cells."""
     cells = range(1, sys.n_cells + 1)
     shape = output = ()
@@ -432,7 +440,7 @@ def _validate_cells(sys, check_rule) -> ValidationReport:
         shape = [Violation(BAD_STRUCTURE, "cells", message)]
     if sys.output not in cells:
         output = [Violation(OUTPUT_OUT_OF_RANGE, "output", f"no cell {sys.output}")]
-    return _validate(sys, shape, cells, output, check_rule)
+    return _validate(sys, shape, cells, output, check_rule, rule_text)
 
 
 def _check_nodes(sys, nodes, where: str, out: list[Violation]):
@@ -443,38 +451,36 @@ def _check_nodes(sys, nodes, where: str, out: list[Violation]):
 
 
 def validate_tissue(sys: TissuePSystem) -> ValidationReport:
-    def check_rule(idx, rule, out):
-        where = f"rule {idx + 1} {tissue_rule_text(rule)}"
-        _check_nodes(sys, (rule.src, rule.dst), where, out)
+    def check_rule(rule, out):
+        _check_nodes(sys, (rule.src, rule.dst), "", out)
         if rule.src == rule.dst:
-            out.append(Violation(EQUAL_ENDPOINTS, where, "rule endpoints must differ"))
-        _check_move(rule, rule.src, sys, where, out)
+            out.append(Violation(EQUAL_ENDPOINTS, "", "rule endpoints must differ"))
+        _check_move(rule, rule.src, sys, "", out)
 
-    return _validate_cells(sys, check_rule)
+    return _validate_cells(sys, check_rule, tissue_rule_text)
 
 
 def validate_interaction(sys: InteractionSystem) -> ValidationReport:
-    def check_rule(idx, rule, out):
-        where = f"rule {idx + 1} {interaction_rule_text(rule)}"
+    def check_rule(rule, out):
         if isinstance(rule, UniportRule):
             moves = [(rule.obj, rule.src, rule.dst)]
         else:
             moves = [(rule.obj_a, rule.src_a, rule.dst_a), (rule.obj_b, rule.src_b, rule.dst_b)]
         objects, sources, targets = zip(*moves)
-        _check_nodes(sys, sources + targets, where, out)
+        _check_nodes(sys, sources + targets, "", out)
         for name in objects:
             if name not in sys.alphabet:
-                out.append(Violation(OBJECT_NOT_DECLARED, where, f"undeclared object {name!r}"))
+                out.append(Violation(OBJECT_NOT_DECLARED, "", f"undeclared object {name!r}"))
         if all(src == 0 and name in sys.env_support for name, src, _ in moves):
             message = (
                 "rule consumes only unlimited environment objects; its "
                 "applicability would have no bound"
             )
-            out.append(Violation(UNBOUNDED_RULE, where, message))
+            out.append(Violation(UNBOUNDED_RULE, "", message))
         if sources == targets:
-            out.append(Violation(INERT_RULE, where, "rule moves nothing", severity="warning"))
+            out.append(Violation(INERT_RULE, "", "rule moves nothing", severity="warning"))
 
-    return _validate_cells(sys, check_rule)
+    return _validate_cells(sys, check_rule, interaction_rule_text)
 
 
 def validate(sys: PSystem) -> ValidationReport:

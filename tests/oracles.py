@@ -6,11 +6,14 @@ found by enumerating every application-count vector up to the obvious
 per-rule bounds and keeping the non-extendable applicable ones, and the
 generated number set is computed by plain recursion over the tree with
 only on-path cycle detection, no memoization.
+
+`memo_walk` is the exception: a reference for the walk's memo rather
+than for the semantics, it steps through the engine's public methods.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import product
 
 from psys.model import (
@@ -247,3 +250,54 @@ def naive_results(sys, max_depth=40, max_total=60):
     regions, env_finite = initial_state(sys)
     walk(regions, env_finite, 0, frozenset())
     return results, complete
+
+
+def memo_walk(engine, start, budget, stop_at_branching=False):
+    """The breadth-first walk of `psys.explore`, memoizing configurations by value.
+
+    Visited configurations are `Configuration` objects in a set, so the
+    memo rests on their `__eq__` and `__hash__`; successors come from
+    `engine.apply`. Returns ((results, exhausted, halting_leaves,
+    cut_branches, visited_configs), witness), the witness being the
+    first configuration with several maximal steps under
+    `stop_at_branching` and None otherwise.
+    """
+    results = set()
+    halting_leaves = cut_branches = 0
+    witness = None
+    visited = {start}
+    queue = deque([(start, 0)])
+    while queue:
+        config, depth = queue.popleft()
+        over = config.total_tracked > budget.max_total_objects
+        if over and not stop_at_branching:
+            halted = engine.is_halted(config)
+        else:
+            steps, complete = engine.maximal_steps(config, cap=budget.max_branches)
+            if stop_at_branching and len(steps) > 1:
+                witness = config
+                break
+            halted = not steps
+        if halted:
+            halting_leaves += 1
+            results.add(config.region_size(engine.output))
+            continue
+        if over:
+            cut_branches += 1
+            continue
+        if not complete:
+            cut_branches += 1
+        if depth >= budget.max_depth:
+            cut_branches += 1
+            continue
+        for choice in steps:
+            successor = engine.apply(config, choice)
+            if successor in visited:
+                continue
+            if len(visited) >= budget.max_configs:
+                cut_branches += 1
+                continue
+            visited.add(successor)
+            queue.append((successor, depth + 1))
+    outcome = (frozenset(results), cut_branches == 0, halting_leaves, cut_branches, len(visited))
+    return outcome, witness

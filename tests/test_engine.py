@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -14,7 +15,8 @@ from psys.engine import (
     _shuffle,
     trace_to_lines,
 )
-from psys.explore import explore
+from psys.dsl import parse_system
+from psys.explore import ExploreOutcome, explore
 from psys.model import (
     CellAntiport,
     CellPSystem,
@@ -735,3 +737,22 @@ def test_engine_lowers_user_built_configurations_onto_its_layout():
         eng.maximal_steps(Configuration({1: ms("a"), 5: ms("a")}, EnvContent()))
     with pytest.raises(ValueError, match="unlimited supply"):
         eng.apply(Configuration({1: ms("a")}, EnvContent({"a"})), choice)
+
+
+def test_engine_memory_does_not_grow_with_the_cell_count():
+    # The engine keeps the system's range of labels, and its layout lists
+    # only the nodes that hold slots: here cell 1 and the environment.
+    sys, _ = parse_system(
+        "@model tissue\n@objects a b\n@env b\n"
+        "@cells 1000000\n@init 1: a\n@rules: (1, a / b, 0)\n@output 1\n"
+    )
+    tracemalloc.start()
+    try:
+        eng = Engine(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    start = eng.initial()
+    assert start.region_size(1) == 1 and start.region_size(1_000_000) == 0
+    assert explore(eng) == ExploreOutcome(frozenset({1}), True, 1, 0, 2)

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from psys.engine import Engine
+from psys.engine import Configuration, Engine
 from psys.explore import (
     DeterminismVerdict,
     ExploreBudget,
+    ExploreOutcome,
+    _walk,
     check_deterministic,
     decide_accept,
     explore,
@@ -20,11 +22,11 @@ from psys.model import (
     SymportIn,
     SymportOut,
 )
-from psys.multiset import Multiset, parse_multiset
+from psys.multiset import EnvContent, Multiset, parse_multiset
 
 from corpus import deterministic_minimal_corpus
-from gen import random_shared_system, random_system
-from oracles import apply_oracle, naive_results, state_of
+from gen import random_multiset, random_shared_system, random_system
+from oracles import apply_oracle, memo_walk, naive_results, state_of
 
 
 def ms(text):
@@ -252,6 +254,50 @@ def test_walk_successors_equal_apply_and_the_oracle():
 
             explore(eng, budget, start=start, on_edge=check)
     assert edges >= 1_400 and outside >= 800, (edges, outside)
+
+
+def test_walk_matches_a_walk_memoizing_configurations():
+    # The walk memoizes count tuples over one layout. A walk memoizing
+    # Configuration objects by value must reach the same outcome, verdict
+    # and witness from the engine's start, from a start with input objects
+    # outside the alphabet (aa sorts before every base slot of its node, zz
+    # after), and from a start built as Configuration(regions, env).
+    rng = random.Random(59)
+    budgets = [
+        ExploreBudget(max_depth=12, max_total_objects=30, max_configs=400),
+        ExploreBudget(max_depth=5, max_total_objects=8, max_branches=3, max_configs=40),
+    ]
+    extra = ms("aa^2 o1 zz")
+    cut = witnesses = 0
+    for k in range(300):
+        sys = random_shared_system(rng) if k % 3 == 0 else random_system(rng, max_rules=4)
+        eng = Engine(sys)
+        budget = budgets[k % 2]
+        label = rng.choice(list(eng.labels))
+        names = sorted(sys.alphabet)
+        finite = [name for name in names if name not in sys.env_support]
+        regions = {node: random_multiset(rng, names, low=0, high=3) for node in eng.labels}
+        held = random_multiset(rng, finite, low=0, high=2) if finite else Multiset()
+        built = Configuration(regions, EnvContent(sys.env_support, held))
+        for start in (eng.initial(), eng.initial(extra, label), built):
+            expected, _ = memo_walk(eng, start, budget)
+            assert explore(eng, budget, start=start) == ExploreOutcome(*expected), (sys, start)
+            expected, witness = memo_walk(eng, start, budget, stop_at_branching=True)
+            outcome, got = _walk(eng, start, budget, stop_at_branching=True)
+            assert outcome == ExploreOutcome(*expected) and got == witness, (sys, start)
+            cut += not outcome.exhausted
+            witnesses += witness is not None
+
+        (_, exhausted, halting, _, _), _ = memo_walk(eng, eng.initial(extra, label), budget)
+        verdict = "accepted" if halting else "rejected_exhaustive" if exhausted else "unknown"
+        assert decide_accept(eng, extra, label, budget) == verdict, sys
+        start = eng.initial()
+        (_, exhausted, _, _, _), witness = memo_walk(eng, start, budget, stop_at_branching=True)
+        status = "nondeterministic" if witness else "unknown"
+        if witness is None and exhausted:
+            status = "deterministic_up_to_budget"
+        assert check_deterministic(eng, budget) == DeterminismVerdict(status, witness), sys
+    assert cut >= 60 and witnesses >= 60, (cut, witnesses)
 
 
 def test_results_grow_with_budget():
