@@ -155,8 +155,10 @@ class Configuration:
         mine, theirs = self._layout, other._layout
         if mine is theirs:
             return self._counts == other._counts
+        # Labels are distinct, so unequal lengths settle it without a set.
         return (
-            set(mine.labels) == set(theirs.labels)
+            len(mine.labels) == len(theirs.labels)
+            and set(mine.labels) == set(theirs.labels)
             and mine.infinite == theirs.infinite
             and dict(self._held()) == dict(other._held())
         )
@@ -398,7 +400,8 @@ class Engine:
         layout = c._layout
         if layout.base is self._layout:
             return layout, c._counts
-        unknown = set(layout.labels).difference(self.labels)
+        # Test the configuration's own labels: the engine's may be 10^6 cells.
+        unknown = [label for label in layout.labels if label not in self.labels]
         if unknown:
             raise ValueError(f"no region labeled {min(unknown)}")
         if layout.infinite != self._layout.infinite:
@@ -443,7 +446,13 @@ class Engine:
         work limit can only cut a listing in which enabled rules compete
         for an object: without such a pair the one step is found directly.
         """
-        held = self._counts(c)[1]
+        steps, complete = self._listing(self._counts(c)[1], cap)
+        return tuple(map(StepChoice, steps)), complete
+
+    def _listing(
+        self, held: tuple[int, ...], cap: int
+    ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], bool]:
+        """`maximal_steps` on a count vector: each step's (rule index, m) pairs."""
         enabled = self._enabled(held)
         if not enabled:
             return (), True
@@ -451,14 +460,14 @@ class Engine:
         # multiplicity could always fire once more, so every rule at its top
         # is the only maximal step. One rule in play is the cheapest case.
         if len(enabled) == 1:
-            return ((StepChoice(tuple(enabled)),), True) if cap >= 1 else ((), False)
+            return ((tuple(enabled),), True) if cap >= 1 else ((), False)
         in_play = [(index, self._takes[index]) for index, _ in enabled]
         slots = [slot for _, need in in_play for slot, _ in need]
         if len(set(slots)) == len(slots):
-            return ((StepChoice(tuple(enabled)),), True) if cap >= 1 else ((), False)
+            return ((tuple(enabled),), True) if cap >= 1 else ((), False)
         pools = list(held)
         counts = [0] * len(in_play)
-        choices: list[StepChoice] = []
+        choices: list[tuple[tuple[int, int], ...]] = []
         aborted = False
         # Every jointly applicable multiplicity vector, highest counts
         # first, keeping the ones no single extra application extends.
@@ -477,8 +486,9 @@ class Engine:
             if pos == len(in_play):
                 leaves += 1
                 if not any(_bound(need, pools) for _, need in in_play):
-                    apps = tuple((index, m) for (index, _), m in zip(in_play, counts) if m)
-                    choices.append(StepChoice(apps))
+                    choices.append(
+                        tuple((index, m) for (index, _), m in zip(in_play, counts) if m)
+                    )
                 return
             need = in_play[pos][1]
             m = _bound(need, pools)

@@ -97,13 +97,16 @@ def _walk(
     on_edge: Optional[EdgeHook] = None,
     stop_at_branching: bool = False,
 ) -> tuple[ExploreOutcome, Optional[Configuration]]:
-    """Breadth-first walk from `start`, memoizing visited count vectors.
+    """Breadth-first walk from `start`, listing, applying and memoizing count vectors.
 
     `start` is lowered once onto the engine's layout, and every successor
     keeps that one layout, so the memo set and the queue hold bare count
-    tuples: equal tuples are equal contents. A `Configuration` is made
-    for each expanded count vector, for the engine's listing and halting
-    checks, and for each successor only when `on_edge` is given.
+    tuples: equal tuples are equal contents. The walk lists steps with
+    `Engine._listing`, decides halting past the object budget with
+    `Engine._enabled` and reads results off the output region's slots.
+    It makes a `Configuration` only for the witness and, with `on_edge`,
+    for each expanded configuration and successor, and a `StepChoice`
+    only for `on_edge`.
 
     With `stop_at_branching` the walk ends at the first configuration
     admitting more than one maximal step and returns it as the witness,
@@ -114,25 +117,31 @@ def _walk(
     cut_branches = 0
     witness = None
     layout, counts = engine._counts(start)
-    after, of = engine._after, Configuration._of
+    after, listing, enabled = engine._after, engine._listing, engine._enabled
+    of = Configuration._of
+    # The output region's slots. A layout without that region raises at the
+    # first halting leaf, as `Configuration.region_size` does.
+    output = engine.output
+    tally = [i for i, _ in layout.nodes.get(output, ())] if output in layout.labels else None
     visited = {counts}
     queue: deque[tuple[tuple[int, ...], int]] = deque([(counts, 0)])
     while queue:
         counts, depth = queue.popleft()
-        config = of(layout, counts)
         over = sum(counts) > budget.max_total_objects
         if over and not stop_at_branching:
             # Past the object budget only halting counts: skip the listing.
-            halted = engine.is_halted(config)
+            halted = not enabled(counts)
         else:
-            steps, complete = engine.maximal_steps(config, cap=budget.max_branches)
+            steps, complete = listing(counts, budget.max_branches)
             if stop_at_branching and len(steps) > 1:
-                witness = config
+                witness = of(layout, counts)
                 break
             halted = not steps
         if halted:
+            if tally is None:
+                raise KeyError(output)
             halting_leaves += 1
-            results.add(config.region_size(engine.output))
+            results.add(sum([counts[i] for i in tally]))
             continue
         if over:
             cut_branches += 1
@@ -142,10 +151,11 @@ def _walk(
         if depth >= budget.max_depth:
             cut_branches += 1
             continue
-        for choice in steps:
-            successor = after(layout, counts, choice.applications)
-            if on_edge is not None:
-                on_edge(config, choice, of(layout, successor))
+        config = None if on_edge is None else of(layout, counts)
+        for applications in steps:
+            successor = after(layout, counts, applications)
+            if config is not None:
+                on_edge(config, StepChoice(applications), of(layout, successor))
             if successor in visited:
                 continue
             if len(visited) >= budget.max_configs:

@@ -252,7 +252,7 @@ def naive_results(sys, max_depth=40, max_total=60):
     return results, complete
 
 
-def memo_walk(engine, start, budget, stop_at_branching=False):
+def memo_walk(engine, start, budget, stop_at_branching=False, edges=None):
     """The breadth-first walk of `psys.explore`, memoizing configurations by value.
 
     Visited configurations are `Configuration` objects in a set, so the
@@ -260,7 +260,9 @@ def memo_walk(engine, start, budget, stop_at_branching=False):
     `engine.apply`. Returns ((results, exhausted, halting_leaves,
     cut_branches, visited_configs), witness), the witness being the
     first configuration with several maximal steps under
-    `stop_at_branching` and None otherwise.
+    `stop_at_branching` and None otherwise. A list given as `edges` gets
+    every generated (configuration, choice, successor) edge, in order,
+    visited successors included: what `explore`'s `on_edge` must see.
     """
     results = set()
     halting_leaves = cut_branches = 0
@@ -292,6 +294,8 @@ def memo_walk(engine, start, budget, stop_at_branching=False):
             continue
         for choice in steps:
             successor = engine.apply(config, choice)
+            if edges is not None:
+                edges.append((config, choice, successor))
             if successor in visited:
                 continue
             if len(visited) >= budget.max_configs:

@@ -739,13 +739,16 @@ def test_engine_lowers_user_built_configurations_onto_its_layout():
         eng.apply(Configuration({1: ms("a")}, EnvContent({"a"})), choice)
 
 
+MILLION_CELLS = (
+    "@model tissue\n@objects a b\n@env b\n"
+    "@cells 1000000\n@init 1: a\n@rules: (1, a / b, 0)\n@output 1\n"
+)
+
+
 def test_engine_memory_does_not_grow_with_the_cell_count():
     # The engine keeps the system's range of labels, and its layout lists
     # only the nodes that hold slots: here cell 1 and the environment.
-    sys, _ = parse_system(
-        "@model tissue\n@objects a b\n@env b\n"
-        "@cells 1000000\n@init 1: a\n@rules: (1, a / b, 0)\n@output 1\n"
-    )
+    sys, _ = parse_system(MILLION_CELLS)
     tracemalloc.start()
     try:
         eng = Engine(sys)
@@ -756,3 +759,40 @@ def test_engine_memory_does_not_grow_with_the_cell_count():
     start = eng.initial()
     assert start.region_size(1) == 1 and start.region_size(1_000_000) == 0
     assert explore(eng) == ExploreOutcome(frozenset({1}), True, 1, 0, 2)
+
+
+class Unlisted:
+    """Labels that answer `in` and `len` but refuse to be listed."""
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def __contains__(self, label):
+        return label in self.labels
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __iter__(self):
+        raise AssertionError("listed every label of the engine")
+
+
+def test_lowering_a_configuration_tests_its_own_labels_only():
+    # On 10^6 cells, listing the engine's labels per call costs tens of ms.
+    eng = Engine(parse_system(MILLION_CELLS)[0])
+    eng.labels = Unlisted(eng.labels)
+    start = Configuration({1: ms("a")}, EnvContent({"b"}))
+    assert eng.maximal_steps(start) == ((StepChoice(((0, 1),)),), True)
+    wrong = Configuration({3_000_000: ms("a"), 1_000_001: ms("b")}, EnvContent({"b"}))
+    with pytest.raises(ValueError, match="no region labeled 1000001"):
+        eng.maximal_steps(wrong)
+
+
+def test_configurations_with_unequal_region_counts_differ_without_listing_labels():
+    eng = Engine(parse_system(MILLION_CELLS)[0])
+    eng._layout.labels = Unlisted(eng._layout.labels)
+    start, user_built = eng.initial(), Configuration({1: ms("a")}, EnvContent({"b"}))
+    assert start != user_built and user_built != start
+    two = Configuration({1: ms("a"), 2: ms("empty")}, EnvContent({"b"}))
+    assert two == Configuration({2: ms("empty"), 1: ms("a")}, EnvContent({"b"}))
+    assert two != Configuration({1: ms("a"), 3: ms("empty")}, EnvContent({"b"}))

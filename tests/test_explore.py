@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -261,14 +262,16 @@ def test_walk_matches_a_walk_memoizing_configurations():
     # Configuration objects by value must reach the same outcome, verdict
     # and witness from the engine's start, from a start with input objects
     # outside the alphabet (aa sorts before every base slot of its node, zz
-    # after), and from a start built as Configuration(regions, env).
+    # after), and from a start built as Configuration(regions, env). An
+    # on_edge hook must see that walk's edges in order, edges into visited
+    # successors and from configurations with several steps included.
     rng = random.Random(59)
     budgets = [
         ExploreBudget(max_depth=12, max_total_objects=30, max_configs=400),
         ExploreBudget(max_depth=5, max_total_objects=8, max_branches=3, max_configs=40),
     ]
     extra = ms("aa^2 o1 zz")
-    cut = witnesses = 0
+    cut = witnesses = revisits = branching = 0
     for k in range(300):
         sys = random_shared_system(rng) if k % 3 == 0 else random_system(rng, max_rules=4)
         eng = Engine(sys)
@@ -280,11 +283,16 @@ def test_walk_matches_a_walk_memoizing_configurations():
         held = random_multiset(rng, finite, low=0, high=2) if finite else Multiset()
         built = Configuration(regions, EnvContent(sys.env_support, held))
         for start in (eng.initial(), eng.initial(extra, label), built):
-            expected, _ = memo_walk(eng, start, budget)
+            edges, seen = [], []
+            expected, _ = memo_walk(eng, start, budget, edges=edges)
             assert explore(eng, budget, start=start) == ExploreOutcome(*expected), (sys, start)
+            hooked = explore(eng, budget, start=start, on_edge=lambda *edge: seen.append(edge))
+            assert hooked == ExploreOutcome(*expected) and seen == edges, (sys, start)
             expected, witness = memo_walk(eng, start, budget, stop_at_branching=True)
             outcome, got = _walk(eng, start, budget, stop_at_branching=True)
             assert outcome == ExploreOutcome(*expected) and got == witness, (sys, start)
+            revisits += len(edges) - len({successor for _, _, successor in edges})
+            branching += len({config for config, _, _ in edges}) < len(edges)
             cut += not outcome.exhausted
             witnesses += witness is not None
 
@@ -298,6 +306,40 @@ def test_walk_matches_a_walk_memoizing_configurations():
             status = "deterministic_up_to_budget"
         assert check_deterministic(eng, budget) == DeterminismVerdict(status, witness), sys
     assert cut >= 60 and witnesses >= 60, (cut, witnesses)
+    assert revisits >= 400 and branching >= 60, (revisits, branching)
+
+
+def test_walk_without_a_hook_makes_no_public_engine_call(monkeypatch):
+    # The walk lists, applies and decides halting on count vectors; only a
+    # witness or an on_edge hook needs Configuration or StepChoice objects.
+    calls = Counter()
+    for name in ("maximal_steps", "is_halted", "enabled", "apply"):
+
+        def counted(*args, _name=name, _method=getattr(Engine, name), **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(Engine, name, counted)
+    over = explore(growing_system(), ExploreBudget(max_total_objects=5))
+    assert over.cut_branches > 0 and over.halting_leaves == 0
+    branching = flat([SymportOut(ms("a b")), SymportOut(ms("a"))], "a b")
+    assert explore(branching).results == frozenset({0, 1})
+    assert decide_accept(branching, ms("a"), 1) == "accepted"
+    assert check_deterministic(branching).status == "nondeterministic"
+    assert calls == Counter()
+
+
+def test_an_output_label_without_a_region_raises_at_a_halting_leaf():
+    # Unvalidated systems may name an output region they lack; the walk
+    # raises KeyError only once a halting leaf needs that region's count.
+    halting = flat([SymportOut(ms("a"))], "a", output=2)
+    with pytest.raises(KeyError):
+        explore(halting)
+    with pytest.raises(KeyError):
+        check_deterministic(halting)
+    cycling = flat([CellAntiport(ms("a"), ms("a"))], "a", env=("a",), output=2)
+    assert explore(cycling) == ExploreOutcome(frozenset(), True, 0, 0, 1)
+    assert check_deterministic(cycling).status == "deterministic_up_to_budget"
 
 
 def test_results_grow_with_budget():
