@@ -137,7 +137,10 @@ class Configuration:
 
     @property
     def total_inside(self) -> int:
-        return sum(self.region_size(label) for label in self._layout.labels)
+        # Over the nodes that hold slots: a system may have 10^6 cells.
+        layout, counts = self._layout, self._counts
+        inside = [entries for node, entries in layout.nodes.items() if node in layout.labels]
+        return sum([counts[i] for entries in inside for i, _ in entries])
 
     @property
     def total_tracked(self) -> int:
@@ -155,10 +158,12 @@ class Configuration:
         mine, theirs = self._layout, other._layout
         if mine is theirs:
             return self._counts == other._counts
-        # Labels are distinct, so unequal lengths settle it without a set.
+        # Labels are distinct, so unequal lengths settle it without a set, and
+        # equal sequences (one engine's range, say) settle it at once.
+        labels = mine.labels
         return (
-            len(mine.labels) == len(theirs.labels)
-            and set(mine.labels) == set(theirs.labels)
+            len(labels) == len(theirs.labels)
+            and (labels == theirs.labels or set(labels) == set(theirs.labels))
             and mine.infinite == theirs.infinite
             and dict(self._held()) == dict(other._held())
         )
@@ -311,8 +316,10 @@ def _unbounded(rule: TransferRule) -> UnboundedStepError:
 class Engine:
     """Transition function of one system.
 
-    Instances are cheap and stateless beyond the rules, the slot layout
-    and the rules' take and give tables over it; all methods are pure
+    Instances are cheap and stateless beyond the rules, the slot layout,
+    the rules' take and give tables over it and the lookups derived from
+    the take tables once (the enabledness scan, the first unbounded rule,
+    each rule's take slots and the greedy order); all methods are pure
     functions of the configuration they receive, which draws on the
     system's unlimited supply.
     """
@@ -357,6 +364,13 @@ class Engine:
             for tables in (takes, gives)
         )
         self._start = tuple([start.get(pair, 0) for pair in slots])
+        # `_enabled` scans (index, first slot, first count, other takes) for
+        # every rule with a tracked take. A rule without one is unbounded,
+        # and the first such rule is reported whatever the configuration.
+        self._scan = [(i, *need[0], need[1:]) for i, need in enumerate(self._takes) if need]
+        self._unbounded = next((i for i, need in enumerate(self._takes) if not need), None)
+        # Each rule's take slots, for `_listing`'s contention test.
+        self._take_slots = [tuple([slot for slot, _ in need]) for need in self._takes]
         # The greedy pass shuffles these pairs; seeded traces pin their draws.
         self._order = list(enumerate(self._takes))
         self._draws = _draws(len(self._order))
@@ -410,15 +424,23 @@ class Engine:
 
     def _enabled(self, pools) -> list[tuple[int, int]]:
         """(rule index, largest standalone multiplicity) of every applicable rule."""
+        # A rule with no tracked take fits any configuration without bound, so
+        # the first one in index order is reported before any rule is tested.
+        if self._unbounded is not None:
+            raise _unbounded(self.rules[self._unbounded])
         out = []
-        for index, need in enumerate(self._takes):
-            # Most rules fail on their first object; only an empty take
-            # table (an unbounded rule) must reach _bound to be reported.
-            if need and pools[need[0][0]] < need[0][1]:
+        for index, slot, count, rest in self._scan:
+            # Most rules fail on their first object.
+            held = pools[slot]
+            if held < count:
                 continue
-            bound = _bound(need, pools)
-            if bound is None:
-                raise _unbounded(self.rules[index])
+            bound = held // count
+            for slot, count in rest:
+                fits = pools[slot] // count
+                if fits < bound:
+                    bound = fits
+                    if not fits:
+                        break
             if bound:
                 out.append((index, bound))
         return out
@@ -458,13 +480,20 @@ class Engine:
             return (), True
         # When no two rules in play take from one slot, a rule below its top
         # multiplicity could always fire once more, so every rule at its top
-        # is the only maximal step. One rule in play is the cheapest case.
+        # is the only maximal step. One rule in play is the cheapest case;
+        # otherwise the rules' take slots are added to one set until a rule
+        # meets a slot already taken.
         if len(enabled) == 1:
             return ((tuple(enabled),), True) if cap >= 1 else ((), False)
-        in_play = [(index, self._takes[index]) for index, _ in enabled]
-        slots = [slot for _, need in in_play for slot, _ in need]
-        if len(set(slots)) == len(slots):
+        take_slots, taken = self._take_slots, set()
+        for index, _ in enabled:
+            slots = take_slots[index]
+            if not taken.isdisjoint(slots):
+                break
+            taken.update(slots)
+        else:
             return ((tuple(enabled),), True) if cap >= 1 else ((), False)
+        in_play = [(index, self._takes[index]) for index, _ in enabled]
         pools = list(held)
         counts = [0] * len(in_play)
         choices: list[tuple[tuple[int, int], ...]] = []
@@ -535,7 +564,10 @@ class Engine:
                         f"step {applications} takes more {name} than node {node} holds"
                     )
                 pools[slot] = left
-        self._give(pools, applications)
+        gives = self._gives
+        for index, m in applications:
+            for slot, count in gives[index]:
+                pools[slot] += m * count
         return tuple(pools)
 
     def _give(self, pools: list[int], applications) -> None:

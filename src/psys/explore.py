@@ -119,6 +119,8 @@ def _walk(
     layout, counts = engine._counts(start)
     after, listing, enabled = engine._after, engine._listing, engine._enabled
     of = Configuration._of
+    max_depth, max_total = budget.max_depth, budget.max_total_objects
+    max_branches, max_configs = budget.max_branches, budget.max_configs
     # The output region's slots. A layout without that region raises at the
     # first halting leaf, as `Configuration.region_size` does.
     output = engine.output
@@ -127,12 +129,12 @@ def _walk(
     queue: deque[tuple[tuple[int, ...], int]] = deque([(counts, 0)])
     while queue:
         counts, depth = queue.popleft()
-        over = sum(counts) > budget.max_total_objects
+        over = sum(counts) > max_total
         if over and not stop_at_branching:
             # Past the object budget only halting counts: skip the listing.
             halted = not enabled(counts)
         else:
-            steps, complete = listing(counts, budget.max_branches)
+            steps, complete = listing(counts, max_branches)
             if stop_at_branching and len(steps) > 1:
                 witness = of(layout, counts)
                 break
@@ -148,7 +150,7 @@ def _walk(
             continue
         if not complete:
             cut_branches += 1
-        if depth >= budget.max_depth:
+        if depth >= max_depth:
             cut_branches += 1
             continue
         config = None if on_edge is None else of(layout, counts)
@@ -158,7 +160,7 @@ def _walk(
                 on_edge(config, StepChoice(applications), of(layout, successor))
             if successor in visited:
                 continue
-            if len(visited) >= budget.max_configs:
+            if len(visited) >= max_configs:
                 cut_branches += 1
                 continue
             visited.add(successor)

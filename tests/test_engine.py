@@ -34,7 +34,14 @@ from psys.rm import compile_machine
 
 from gen import random_cell_system, random_shared_system, random_system
 from machines import verification_suite
-from oracles import apply_oracle, enabled_takes, maximal_steps_oracle, norm_rules, state_of
+from oracles import (
+    apply_oracle,
+    enabled_takes,
+    maximal_steps_oracle,
+    norm_rules,
+    standalone_bound,
+    state_of,
+)
 
 
 def ms(text):
@@ -77,11 +84,16 @@ def test_enabled_empty_region():
 
 
 def test_enabled_rejects_rules_with_no_finite_bound():
-    # Hand-built invalid system: symport-in at the skin over E only.
-    bad = cell([CellRule(1, SymportIn(ms("a")))], init="b", env=("a",))
-    eng = Engine(bad)
-    with pytest.raises(UnboundedStepError):
-        eng.enabled(eng.initial())
+    # Hand-built invalid systems: symport-in at the skin over E only, alone
+    # and behind an enabled bounded rule, followed by a second unbounded
+    # rule. The first unbounded rule in index order is the one reported.
+    unbounded = [CellRule(1, SymportIn(ms("a"))), CellRule(1, SymportIn(ms("c")))]
+    bounded = CellRule(1, SymportOut(ms("b")))
+    for rules, rid in ((unbounded[:1], "r1"), ([bounded, *unbounded], "r2")):
+        eng = Engine(cell(rules, init="b", env=("a", "c")))
+        for call in (eng.enabled, eng.maximal_steps, lambda c: explore(eng, start=c)):
+            with pytest.raises(UnboundedStepError, match=f"rule {rid} "):
+                call(eng.initial())
 
 
 def test_greedy_step_rejects_rules_with_no_finite_bound():
@@ -97,6 +109,43 @@ def test_greedy_step_rejects_rules_with_no_finite_bound():
 
 
 # ---------------------------------------------------------------- maximal steps
+
+
+# Each system reaches one branch of `Engine._enabled`'s scan or of
+# `_listing`'s contention test from the contents given with it.
+SCAN_BRANCHES = [
+    # a first take of 2 whose slot holds 1
+    (["a^2"], "a"),
+    # the first slot held but a later take short
+    (["a b"], "a"),
+    # two rules that contend only through their second take
+    (["a c", "b c"], "a b c"),
+    # three pairwise-disjoint enabled rules
+    (["a", "b", "c d"], "a b c d"),
+]
+
+
+def test_enabled_and_steps_agree_with_the_oracle_on_each_scan_branch():
+    rng = random.Random(41)
+    names = ["a", "b", "c", "d", "zz"]
+    appended = 0
+    for outs, contents in SCAN_BRANCHES:
+        sys = cell([CellRule(1, SymportOut(ms(out))) for out in outs], init="empty")
+        eng = Engine(sys)
+        # zz is outside the alphabet: the input gets a slot appended to the layout.
+        inputs = [ms(contents), ms(contents + " zz")]
+        inputs += [Multiset(rng.choices(names, k=rng.randint(0, 7))) for _ in range(30)]
+        for objects in inputs:
+            c = eng.initial(objects, 1)
+            appended += c._layout is not eng._layout
+            regions, env_finite = state_of(sys, c)
+            bounds = [standalone_bound(rule, regions, env_finite, ()) for rule in norm_rules(sys)]
+            got = [(rule.index, m) for rule, m in eng.enabled(c)]
+            assert got == [(i, bound) for i, bound in enumerate(bounds) if bound], (outs, objects)
+            steps, complete = eng.maximal_steps(c)
+            expected = maximal_steps_oracle(sys, regions, env_finite)
+            assert complete and choice_set(steps) == expected, (outs, objects)
+    assert appended >= len(SCAN_BRANCHES)
 
 
 def test_maximal_steps_two_competing_rules():
@@ -796,3 +845,42 @@ def test_configurations_with_unequal_region_counts_differ_without_listing_labels
     two = Configuration({1: ms("a"), 2: ms("empty")}, EnvContent({"b"}))
     assert two == Configuration({2: ms("empty"), 1: ms("a")}, EnvContent({"b"}))
     assert two != Configuration({1: ms("a"), 3: ms("empty")}, EnvContent({"b"}))
+
+
+def test_cross_layout_equality_and_inside_total_skip_the_engines_labels():
+    # An input outside the alphabet gives the start a layout with an appended
+    # slot and the engine's labels; neither `==` nor `total_inside` lists them.
+    eng = Engine(parse_system(MILLION_CELLS)[0])
+    eng._layout.labels = Unlisted(eng._layout.labels)
+    start, extended = eng.initial(), eng.initial(Multiset(["zz"]), 2)
+    assert extended._layout is not eng._layout
+    assert start != extended and extended != start
+    assert start.total_inside == 1 and extended.total_inside == 2
+
+
+def test_inside_total_sums_the_regions():
+    rng = random.Random(43)
+    configurations = []
+    for n in range(60):
+        sys = random_shared_system(rng) if n % 3 == 2 else random_system(rng)
+        eng = Engine(sys)
+        for c, _, after in walk(eng, rng, max_steps=4):
+            configurations += [c, after, Configuration(after.regions, after.env)]
+        configurations.append(eng.initial(ms("zz a"), 1))
+    # A hand-built invalid system whose rule gives to cell 5 of 2.
+    stray = Engine(
+        TissuePSystem(
+            alphabet=frozenset("a"),
+            n_cells=2,
+            init={1: ms("a^2")},
+            env_support=frozenset(),
+            rules=(TissueSymport(1, ms("a"), 5),),
+            output=1,
+        )
+    )
+    trace = stray.run(max_steps=1)
+    assert (trace.final.total_inside, trace.final.total_tracked) == (0, 2)
+    configurations += trace.configurations()
+    for c in configurations:
+        assert c.total_inside == sum(c.region_size(label) for label in c._layout.labels)
+        assert c.total_inside == sum(region.size for region in c.regions.values())
