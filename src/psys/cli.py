@@ -165,8 +165,9 @@ def cmd_run(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     trace = engine._running(start, args.seed, args.max_steps, args.policy)
+    write = sys.stdout.write
     for line in trace_to_lines(engine, trace):
-        print(line)
+        write(line + "\n")
     if args.accept is not None:
         print(json.dumps({"accept": "accepted" if trace.halted else "budget_exhausted"}))
     return EXIT_OK if trace.halted else EXIT_BUDGET

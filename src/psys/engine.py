@@ -52,7 +52,7 @@ class _Layout:
     so every slot index of the engine's rules stays valid.
     """
 
-    __slots__ = ("slots", "index", "labels", "infinite", "nodes", "base", "order", "pair_hashes")
+    __slots__ = ("slots", "index", "labels", "infinite", "nodes", "base")
 
     def __init__(
         self,
@@ -71,17 +71,9 @@ class _Layout:
         self.nodes: dict[int, list[tuple[int, str]]] = {}
         for i, (node, name) in enumerate(slots):
             self.nodes.setdefault(node, []).append((i, name))
-        # Hashing walks the slots in (node, name) order, the order of every
-        # layout made without a base. Appended slots can break it; `order`
-        # then permutes a count vector into it.
-        self.order = None
         if base is not None:
             for entries in self.nodes.values():
                 entries.sort(key=itemgetter(1))
-            order = sorted(range(len(slots)), key=slots.__getitem__)
-            if order != list(range(len(slots))):
-                self.order, slots = order, [slots[i] for i in order]
-        self.pair_hashes = tuple(map(hash, slots))
 
     def contents(self, counts: tuple[int, ...], node: int) -> dict[str, int]:
         """Name -> count of the objects at `node`, in name order."""
@@ -169,15 +161,9 @@ class Configuration:
         )
 
     def __hash__(self) -> int:
-        # The (node, name) hashes, then the counts, of the objects held, in
-        # (node, name) order: equal contents hash alike on any layout. One
-        # tuple of known size: tuple() of an iterator over-allocates and
-        # shrinks, and the shrunk tuples pile up on CPython's free lists.
+        # Equal contents hash alike on any layout.
         if self._hash is None:
-            layout, counts = self._layout, self._counts
-            if layout.order is not None:
-                counts = [counts[i] for i in layout.order]
-            _set_hash(self, hash((*compress(layout.pair_hashes, counts), *filter(None, counts))))
+            _set_hash(self, hash(frozenset(self._held())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -318,10 +304,10 @@ class Engine:
 
     Instances are cheap and stateless beyond the rules, the slot layout,
     the rules' take and give tables over it and the lookups derived from
-    the take tables once (the enabledness scan, the first unbounded rule,
-    each rule's take slots and the greedy order); all methods are pure
-    functions of the configuration they receive, which draws on the
-    system's unlimited supply.
+    the take tables once (the scan table, the first unbounded rule and
+    each rule's take slots); all methods are pure functions of the
+    configuration they receive, which draws on the system's unlimited
+    supply.
     """
 
     def __init__(self, sys: PSystem):
@@ -364,16 +350,16 @@ class Engine:
             for tables in (takes, gives)
         )
         self._start = tuple([start.get(pair, 0) for pair in slots])
-        # `_enabled` scans (index, first slot, first count, other takes) for
-        # every rule with a tracked take. A rule without one is unbounded,
-        # and the first such rule is reported whatever the configuration.
+        # `_enabled` and the greedy pass scan (index, first slot, first
+        # count, other takes) for every rule with a tracked take. A rule
+        # without one is unbounded, and the first such rule is reported
+        # whatever the configuration.
         self._scan = [(i, *need[0], need[1:]) for i, need in enumerate(self._takes) if need]
         self._unbounded = next((i for i, need in enumerate(self._takes) if not need), None)
         # Each rule's take slots, for `_listing`'s contention test.
         self._take_slots = [tuple([slot for slot, _ in need]) for need in self._takes]
-        # The greedy pass shuffles these pairs; seeded traces pin their draws.
-        self._order = list(enumerate(self._takes))
-        self._draws = _draws(len(self._order))
+        # The greedy pass shuffles the scan table; seeded traces pin its draws.
+        self._draws = _draws(len(self._scan))
 
     def initial(
         self, input_objects: Multiset = EMPTY, input_region: Optional[int] = None
@@ -643,39 +629,42 @@ class Engine:
             yield TraceStep(StepChoice(tuple(granted)), c, note)
         trace.halted = self.is_halted(c)
 
-    def _greedy_step(self, c: Configuration, rng: random.Random) -> StepChoice:
-        """Build one maximal step by saturating rules in shuffled order."""
-        granted, _ = self._greedy_pass(self._counts(c)[1], rng)
-        return StepChoice(tuple(granted))
-
     def _greedy_pass(
         self, counts: tuple[int, ...], rng: random.Random
     ) -> tuple[list[tuple[int, int]], list[int]]:
         """Saturate rules in shuffled order, taking from a copy of `counts`.
 
-        Returns the granted (index, m) pairs in index order and the
-        residual pools. Availability only shrinks as rules are granted, so
-        one pass leaves nothing extendable.
+        Shuffles a copy of the scan table, one entry per rule, so the draws
+        are those of `rng.shuffle` on the rule indices. Returns the granted
+        (index, m) pairs in index order and the residual pools.
+        Availability only shrinks as rules are granted, so one pass leaves
+        nothing extendable. A system with an unbounded rule raises for the
+        first one, as `_enabled` does, before any draw.
         """
-        order = self._order[:]
+        if self._unbounded is not None:
+            raise _unbounded(self.rules[self._unbounded])
+        order = self._scan[:]
         _shuffle(order, self._draws, rng)
         pools = list(counts)
         granted = []
-        for index, need in order:
-            bound = None
-            for slot, count in need:
-                fits = pools[slot] // count
-                if bound is None or fits < bound:
-                    bound = fits
-                    if not fits:
-                        break
-            if bound is None:
-                raise _unbounded(self.rules[index])
-            if bound:
-                granted.append((index, bound))
-                # `_take` inlined: this runs for most rules of every step.
-                for slot, count in need:
-                    pools[slot] -= bound * count
+        # `_take` inlined: this runs for every rule of every step.
+        for index, slot, count, rest in order:
+            bound = pools[slot] // count
+            if not bound:
+                continue
+            if rest:
+                for other, k in rest:
+                    fits = pools[other] // k
+                    if fits < bound:
+                        bound = fits
+                        if not fits:
+                            break
+                if not bound:
+                    continue
+                for other, k in rest:
+                    pools[other] -= bound * k
+            pools[slot] -= bound * count
+            granted.append((index, bound))
         granted.sort()
         return granted, pools
 

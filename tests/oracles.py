@@ -174,13 +174,10 @@ def maximal_steps_oracle(sys, regions, env_finite) -> set[frozenset[tuple[int, i
     return steps
 
 
-def apply_oracle(sys, regions, env_finite, step):
-    env_inf = set(sys.env_support)
-    rules = norm_rules(sys)
-    regions = {node: Counter(pool) for node, pool in regions.items()}
-    env_finite = Counter(env_finite)
+def _take_oracle(rules, regions, env_finite, env_inf, step) -> None:
+    """Remove what `step` consumes from the pools in place."""
     for index, count in step:
-        con, pro = rules[index]
+        con, _pro = rules[index]
         for node, needs in con.items():
             for name, per in needs.items():
                 if node == 0:
@@ -190,6 +187,44 @@ def apply_oracle(sys, regions, env_finite, step):
                 else:
                     regions[node][name] -= per * count
                     assert regions[node][name] >= 0
+
+
+def _drop_zeros(regions, env_finite) -> None:
+    for pool in (*regions.values(), env_finite):
+        for name in [n for n, c in pool.items() if c == 0]:
+            del pool[name]
+
+
+def greedy_pass_oracle(sys, regions, env_finite, rng):
+    """One greedy step: `rng.shuffle` the rule positions, then grant each
+    rule in that order its standalone bound on what the earlier ones left.
+
+    Returns the granted (rule position, multiplicity) pairs in position
+    order and the residual (regions, env_finite) after taking, before
+    anything is given.
+    """
+    env_inf = set(sys.env_support)
+    rules = norm_rules(sys)
+    regions = {node: Counter(pool) for node, pool in regions.items()}
+    env_finite = Counter(env_finite)
+    order = list(range(len(rules)))
+    rng.shuffle(order)
+    granted = []
+    for index in order:
+        m = standalone_bound(rules[index], regions, env_finite, env_inf)
+        if m:
+            granted.append((index, m))
+            _take_oracle(rules, regions, env_finite, env_inf, [(index, m)])
+    _drop_zeros(regions, env_finite)
+    return sorted(granted), (regions, env_finite)
+
+
+def apply_oracle(sys, regions, env_finite, step):
+    env_inf = set(sys.env_support)
+    rules = norm_rules(sys)
+    regions = {node: Counter(pool) for node, pool in regions.items()}
+    env_finite = Counter(env_finite)
+    _take_oracle(rules, regions, env_finite, env_inf, step)
     for index, count in step:
         con, pro = rules[index]
         for node, gives in pro.items():
@@ -199,11 +234,7 @@ def apply_oracle(sys, regions, env_finite, step):
                         env_finite[name] += per * count
                 else:
                     regions[node][name] += per * count
-    for pool in regions.values():
-        for name in [n for n, c in pool.items() if c == 0]:
-            del pool[name]
-    for name in [n for n, c in env_finite.items() if c == 0]:
-        del env_finite[name]
+    _drop_zeros(regions, env_finite)
     return regions, env_finite
 
 

@@ -37,6 +37,7 @@ from machines import verification_suite
 from oracles import (
     apply_oracle,
     enabled_takes,
+    greedy_pass_oracle,
     maximal_steps_oracle,
     norm_rules,
     standalone_bound,
@@ -97,14 +98,20 @@ def test_enabled_rejects_rules_with_no_finite_bound():
 
 
 def test_greedy_step_rejects_rules_with_no_finite_bound():
-    # The system above, and again behind a rule the shuffle may grant first.
-    unbounded = CellRule(1, SymportIn(ms("a")))
-    for rules in ([unbounded], [CellRule(1, SymportOut(ms("b"))), unbounded]):
-        eng = Engine(cell(rules, init="b", env=("a",)))
-        for seed in range(4):
-            with pytest.raises(UnboundedStepError, match=f"rule r{len(rules)} "):
-                eng._greedy_step(eng.initial(), random.Random(seed))
-            with pytest.raises(UnboundedStepError):
+    # The systems above: the greedy pass names the first unbounded rule by
+    # index, as `enabled` does, whatever order the shuffle would draw.
+    unbounded = [CellRule(1, SymportIn(ms("a"))), CellRule(1, SymportIn(ms("c")))]
+    bounded = CellRule(1, SymportOut(ms("b")))
+    for rules, rid, seeds in (
+        (unbounded[:1], "r1", 4),
+        ([bounded, *unbounded[:1]], "r2", 4),
+        ([bounded, *unbounded], "r2", 20),
+    ):
+        eng = Engine(cell(rules, init="b", env=("a", "c")))
+        for seed in range(seeds):
+            with pytest.raises(UnboundedStepError, match=f"rule {rid} "):
+                eng._greedy_pass(eng.initial()._counts, random.Random(seed))
+            with pytest.raises(UnboundedStepError, match=f"rule {rid} "):
                 eng.run(seed, policy="greedy-random")
 
 
@@ -442,6 +449,41 @@ def test_inline_shuffle_draws_like_random_shuffle():
             assert rng.getstate() == reference.getstate()
 
 
+def test_greedy_pass_agrees_with_the_oracle():
+    # Granted pairs, residual pools and the generator's state after each
+    # pass, a few steps deep, on both generators' systems; every fourth
+    # run starts with an input outside the alphabet, on a widened layout.
+    rng = random.Random(2121)
+    passes = widened = short_rest = 0
+    for k in range(400):
+        sys = random_shared_system(rng) if k % 2 else random_system(rng)
+        eng = Engine(sys)
+        c = eng.initial()
+        if k % 4 == 3:
+            c = eng.initial(Multiset({"zz": 2}), rng.choice(list(eng.labels)))
+            widened += 1
+        for _ in range(5):
+            layout, counts = eng._counts(c)
+            seed = rng.randrange(1_000)
+            mine, reference = random.Random(seed), random.Random(seed)
+            granted, pools = eng._greedy_pass(counts, mine)
+            expected, residual = greedy_pass_oracle(sys, *state_of(sys, c), reference)
+            assert granted == expected
+            assert state_of(sys, Configuration._of(layout, tuple(pools))) == residual
+            assert mine.getstate() == reference.getstate()
+            passes += 1
+            # A granted rule whose first take alone would allow more.
+            short_rest += any(
+                counts[eng._takes[index][0][0]] // eng._takes[index][0][1] > m
+                for index, m in granted
+            )
+            if not granted:
+                break
+            eng._give(pools, granted)
+            c = Configuration._of(layout, tuple(pools))
+    assert passes >= 750 and widened == 100 and short_rest >= 40, (passes, widened, short_rest)
+
+
 def chosen_then_applied(eng, start, rng, max_steps, policy, cap):
     """(choice, after, note) of every step, choosing as `Engine.run` does and
     applying with `Engine.apply`, then whether the run halted."""
@@ -453,10 +495,10 @@ def chosen_then_applied(eng, start, rng, max_steps, policy, cap):
             if steps and complete:
                 choice = steps[rng.randrange(len(steps))]
             else:
-                choice = eng._greedy_step(c, rng)
+                choice = StepChoice(tuple(eng._greedy_pass(eng._counts(c)[1], rng)[0]))
                 note = "greedy-random fallback: maximal-step listing overflowed"
         else:
-            choice = eng._greedy_step(c, rng)
+            choice = StepChoice(tuple(eng._greedy_pass(eng._counts(c)[1], rng)[0]))
         if not choice.applications:
             return out, True
         c = eng.apply(c, choice)
@@ -505,7 +547,7 @@ def test_run_rejects_unknown_policy(monkeypatch):
     def no_step(*_):
         raise AssertionError("a step was taken under an unknown policy")
 
-    for method in ("maximal_steps", "_greedy_step", "_greedy_pass", "apply", "is_halted"):
+    for method in ("maximal_steps", "_greedy_pass", "apply", "is_halted"):
         monkeypatch.setattr(eng, method, no_step)
     with pytest.raises(ValueError, match="unknown policy 'nope'"):
         eng.run(seed=0, policy="nope")

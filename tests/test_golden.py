@@ -22,7 +22,7 @@ from psys.dsl import (
     print_machine,
     print_system,
 )
-from psys.engine import Engine
+from psys.engine import Engine, StepChoice
 from psys.model import (
     CellAntiport,
     CellRule,
@@ -122,7 +122,8 @@ def test_ordered_choices_and_greedy_steps_are_pinned():
             truncated += not complete
             record.append(([step.applications for step in steps], complete))
         for seed in range(3):
-            record.append(eng._greedy_step(c, random.Random(seed)).applications)
+            granted, _ = eng._greedy_pass(eng._counts(c)[1], random.Random(seed))
+            record.append(tuple(granted))
         digest.update(repr(record).encode())
     assert states >= 2_000 and truncated >= 200
     assert digest.hexdigest() == ORDERED_DIGEST
@@ -249,8 +250,8 @@ def test_greedy_steps_are_maximal_on_shared_object_systems():
         steps, complete = eng.maximal_steps(c, cap=10_000)
         assert complete
         for seed in range(4):
-            choice = eng._greedy_step(c, random.Random(seed))
-            assert choice in steps if steps else choice.applications == ()
+            granted, _ = eng._greedy_pass(eng._counts(c)[1], random.Random(seed))
+            assert StepChoice(tuple(granted)) in steps if steps else granted == []
 
 
 def _parser_corpus(rng):
