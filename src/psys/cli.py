@@ -102,26 +102,18 @@ def _parsed(path: str, parse):
     return value
 
 
-def _load_system(path: str):
-    return _parsed(path, dsl.parse_system)
-
-
 def _validated_system(path: str):
-    sys_ = _load_system(path)
+    sys_ = _parsed(path, dsl.parse_system)
     report = validate(sys_)
     for violation in report.violations:
-        print(
-            f"{path}: {violation.code} [{violation.severity}] "
-            f"{violation.location}: {violation.message}",
-            file=sys.stderr,
-        )
+        print(f"{path}: {violation}", file=sys.stderr)
     if not report.ok:
         raise _CliFailure(EXIT_INVALID)
     return sys_
 
 
 def cmd_validate(args) -> int:
-    report = validate(_load_system(args.file))
+    report = validate(_parsed(args.file, dsl.parse_system))
     if args.pretty:
         print(str(report))
     else:
@@ -206,23 +198,22 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _load_machine(path: str) -> rm.RegisterMachine:
+def _load_machine(path: str) -> tuple[rm.RegisterMachine, rm.CompiledSystem]:
+    """The machine at `path` and its compiled system; exit 2 when it cannot compile."""
     machine = _parsed(path, dsl.parse_machine)
     problems = rm.machine_problems(machine)
-    if problems:
-        for problem in problems:
-            print(f"{path}: {problem}", file=sys.stderr)
-        raise _CliFailure(EXIT_INVALID)
-    return machine
+    if not problems:
+        try:
+            return machine, rm.compile_machine(machine)
+        except rm.CompileError as err:
+            problems = [err]
+    for problem in problems:
+        print(f"{path}: {problem}", file=sys.stderr)
+    raise _CliFailure(EXIT_INVALID)
 
 
 def cmd_compile_rm(args) -> int:
-    machine = _load_machine(args.file)
-    try:
-        compiled = rm.compile_machine(machine)
-    except rm.CompileError as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    _, compiled = _load_machine(args.file)
     text = dsl.print_system(compiled.system)
     if args.output is None:
         sys.stdout.write(text)
@@ -246,12 +237,8 @@ def cmd_compile_rm(args) -> int:
 
 
 def cmd_rm_verify(args) -> int:
-    machine = _load_machine(args.file)
-    try:
-        report = rm.verify_compilation(machine, value_bound=args.bound)
-    except rm.CompileError as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    machine, compiled = _load_machine(args.file)
+    report = rm.verify_compilation(machine, value_bound=args.bound, compiled=compiled)
     print(json.dumps(report.as_dict(), indent=2 if args.pretty else None))
     for message in report.messages:
         print(message, file=sys.stderr)

@@ -89,7 +89,7 @@ class Configuration:
     contents are equal, hash alike and dedupe in a set.
     """
 
-    __slots__ = ("_layout", "_counts", "_hash")
+    __slots__ = ("_layout", "_counts")
 
     def __init__(self, regions: Mapping[int, Multiset], env: EnvContent):
         entries = {(label, name): k for label, ms in regions.items() for name, k in ms.items()}
@@ -97,14 +97,12 @@ class Configuration:
         slots = tuple(sorted(entries))
         _set_layout(self, _Layout(slots, tuple(regions), env.infinite))
         _set_counts(self, tuple([entries[pair] for pair in slots]))
-        _set_hash(self, None)
 
     @classmethod
     def _of(cls, layout: _Layout, counts: tuple[int, ...]) -> "Configuration":
         c = object.__new__(cls)
         _set_layout(c, layout)
         _set_counts(c, counts)
-        _set_hash(c, None)
         return c
 
     def __setattr__(self, name, value):
@@ -162,9 +160,7 @@ class Configuration:
 
     def __hash__(self) -> int:
         # Equal contents hash alike on any layout.
-        if self._hash is None:
-            _set_hash(self, hash(frozenset(self._held())))
-        return self._hash
+        return hash(frozenset(self._held()))
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{label}: {ms}" for label, ms in sorted(self.regions.items()))
@@ -172,7 +168,7 @@ class Configuration:
 
 
 # Set a Configuration's slots past its __setattr__, which refuses every write.
-_set_layout, _set_counts, _set_hash = (
+_set_layout, _set_counts = (
     Configuration.__dict__[name].__set__ for name in Configuration.__slots__
 )
 
@@ -578,12 +574,7 @@ class Engine:
         policy "greedy-random" saturates rules in a shuffled order; it
         is cheap but weights step choices unevenly.
         """
-        return self._run_from(self.initial(), seed, max_steps, policy, cap)
-
-    def _run_from(
-        self, start: Configuration, seed: int, max_steps: int, policy: str, cap: int
-    ) -> Trace:
-        trace = self._running(start, seed, max_steps, policy, cap)
+        trace = self._running(self.initial(), seed, max_steps, policy, cap)
         trace.steps = list(trace.steps)
         return trace
 
@@ -683,7 +674,8 @@ class Engine:
         Raises ValueError for an input region the system does not have.
         """
         start = self.initial(input_objects, input_region)
-        trace = self._run_from(start, seed, max_steps, policy, cap=10_000)
+        trace = self._running(start, seed, max_steps, policy)
+        trace.steps = list(trace.steps)
         return ("accepted" if trace.halted else "budget_exhausted"), trace
 
 

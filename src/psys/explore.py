@@ -251,14 +251,8 @@ def _random_shrinking_minimal_system(rng: random.Random) -> CellPSystem:
             objects = Multiset(rng.choices(alphabet, k=rng.randint(1, 2)))
             rules.append(CellRule(1, SymportOut(objects)))
         else:
-            candidates = [
-                (a, b)
-                for a in alphabet
-                for b in alphabet
-                if a in env or b not in env
-            ]
-            if not candidates:
-                continue
+            # Never empty: an `a` in env pairs with every `b`; with none, no `b` is in env.
+            candidates = [(a, b) for a in alphabet for b in alphabet if a in env or b not in env]
             a, b = rng.choice(candidates)
             rules.append(CellRule(1, CellAntiport(Multiset([a]), Multiset([b]))))
     init = Multiset(rng.choices(alphabet, k=rng.randint(0, 4)))

@@ -42,6 +42,9 @@ class Violation:
     message: str
     severity: str = "error"
 
+    def __str__(self) -> str:
+        return f"{self.code} [{self.severity}] {self.location}: {self.message}"
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -60,11 +63,10 @@ class ValidationReport:
     def __str__(self) -> str:
         if not self.violations:
             return "valid"
-        return "\n".join(
-            f"{v.code} [{v.severity}] {v.location}: {v.message}" for v in self.violations
-        )
+        return "\n".join(map(str, self.violations))
 
 
+@dataclass(frozen=True, slots=True)
 class MembraneStructure:
     """Rooted tree of membranes labeled 1..n, given by a parent map.
 
@@ -72,14 +74,11 @@ class MembraneStructure:
     to 0, the environment, mirroring node numbering in tissue systems.
     """
 
-    __slots__ = ("n", "parent")
+    n: int
+    parent: Mapping[int, int] = ()
 
-    def __init__(self, n: int, parent: Mapping[int, int] = ()):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "parent", dict(parent))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MembraneStructure is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "parent", dict(self.parent))
 
     @property
     def labels(self) -> range:
@@ -134,16 +133,8 @@ class MembraneStructure:
         inner = set(self.parent.values())
         return tuple(label for label in self.labels if label not in inner)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MembraneStructure):
-            return NotImplemented
-        return self.n == other.n and self.parent == other.parent
-
     def __hash__(self) -> int:
         return hash((self.n, tuple(sorted(self.parent.items()))))
-
-    def __repr__(self) -> str:
-        return f"MembraneStructure({self.n}, {self.parent!r})"
 
 
 @dataclass(frozen=True)

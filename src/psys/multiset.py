@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from typing import Optional, Union
 
 NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -48,7 +49,7 @@ def is_valid_name(name: str) -> bool:
 class Multiset:
     """Immutable multiset of named objects with positive integer counts."""
 
-    __slots__ = ("_counts", "_items", "_size", "_hash")
+    __slots__ = ("_counts", "_items", "_size")
 
     def __init__(self, counts: Union[Mapping[str, int], Iterable[str]] = ()):
         acc: dict[str, int] = {}
@@ -67,7 +68,6 @@ class Multiset:
         self._counts = acc
         self._items = tuple(sorted(acc.items()))
         self._size = sum(acc.values())
-        self._hash = hash(self._items)
 
     @property
     def size(self) -> int:
@@ -118,7 +118,7 @@ class Multiset:
         return self._items == other._items
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._items)
 
     def __str__(self) -> str:
         return format_multiset(self)
@@ -185,6 +185,7 @@ def format_multiset(m: Multiset) -> str:
     return " ".join(name if k == 1 else f"{name}^{k}" for name, k in m.items())
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class EnvContent:
     """Environment contents: an unlimited pool plus a finite remainder.
 
@@ -193,29 +194,15 @@ class EnvContent:
     stay disjoint.
     """
 
-    __slots__ = ("infinite", "finite")
+    infinite: frozenset[str] = frozenset()
+    finite: Multiset = EMPTY
 
-    infinite: frozenset[str]
-    finite: Multiset
-
-    def __init__(self, infinite: Iterable[str] = (), finite: Multiset = EMPTY):
-        pool = frozenset(infinite)
-        overlap = [name for name, _ in finite.items() if name in pool]
+    def __post_init__(self):
+        pool = frozenset(self.infinite)
+        overlap = [name for name, _ in self.finite.items() if name in pool]
         if overlap:
             raise ValueError(f"finite remainder overlaps the unlimited pool: {overlap}")
         object.__setattr__(self, "infinite", pool)
-        object.__setattr__(self, "finite", finite)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("EnvContent is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EnvContent):
-            return NotImplemented
-        return self.infinite == other.infinite and self.finite == other.finite
-
-    def __hash__(self) -> int:
-        return hash((self.infinite, self.finite))
 
     def __repr__(self) -> str:
         return f"EnvContent({sorted(self.infinite)!r}, {self.finite!r})"

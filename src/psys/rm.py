@@ -194,17 +194,7 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
     if problems:
         raise CompileError("; ".join(problems))
     names: list[str] = [register_object(r) for r in range(1, m.num_registers + 1)]
-    symbol_map: dict[str, str] = {
-        f"r{r}": register_object(r) for r in range(1, m.num_registers + 1)
-    }
-    for label in sorted(m.instructions):
-        names.append(label)
-        symbol_map[label] = label
-        if isinstance(m.instructions[label], Sub):
-            names.extend((f"{label}_1", f"{label}_2", f"{label}_c", f"{label}_cb"))
-    duplicates = sorted(name for name, k in Counter(names).items() if k > 1)
-    if duplicates:
-        raise CompileError(f"object name collisions: {duplicates}; rename the machine labels")
+    symbol_map = {f"r{r}": name for r, name in enumerate(names, start=1)}
 
     def one(name: str) -> Multiset:
         return Multiset([name])
@@ -215,6 +205,8 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
     rules: list[CellRule] = []
     for label in sorted(m.instructions):
         ins = m.instructions[label]
+        names.append(label)
+        symbol_map[label] = label
         if isinstance(ins, Add):
             reg = register_object(ins.register)
             rules.append(CellRule(1, CellAntiport(one(label), pair(ins.goto_a, reg))))
@@ -226,6 +218,7 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
             reg = register_object(ins.register)
             p1, p2 = f"{label}_1", f"{label}_2"
             c, cb = f"{label}_c", f"{label}_cb"
+            names.extend((p1, p2, c, cb))
             rules.append(CellRule(1, CellAntiport(one(label), pair(p1, c))))
             rules.append(CellRule(1, CellAntiport(pair(c, reg), one(cb))))
             rules.append(CellRule(1, CellAntiport(one(p1), one(p2))))
@@ -233,6 +226,9 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
             rules.append(CellRule(1, CellAntiport(pair(p2, c), one(ins.goto_zero))))
         else:
             rules.append(CellRule(1, SymportOut(one(label))))
+    duplicates = sorted(name for name, k in Counter(names).items() if k > 1)
+    if duplicates:
+        raise CompileError(f"object name collisions: {duplicates}; rename the machine labels")
     alphabet = frozenset(names)
     system = CellPSystem(
         alphabet=alphabet,

@@ -307,6 +307,44 @@ def test_compile_rm_rejects_broken_machine(tmp_path, capsys):
     assert "register" in err
 
 
+@pytest.mark.parametrize("command", ["compile-rm", "rm-verify"])
+def test_machine_commands_reject_gadget_name_collisions(tmp_path, capsys, command):
+    text = "registers 1\noutput r1\nstart p\np: SUB r1 -> p_1 | h\np_1: HALT\nh: HALT\n"
+    path = put(tmp_path, "m.rm", text)
+    code, out, err = invoke(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == f"{path}: object name collisions: ['p_1']; rename the machine labels\n"
+
+
+@pytest.mark.parametrize("command", ["compile-rm", "rm-verify"])
+def test_machine_commands_need_a_register(tmp_path, capsys, command):
+    path = put(tmp_path, "m.rm", "registers 0\noutput r1\nstart p\np: HALT\n")
+    code, out, err = invoke(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == f"{path}: need at least one register, got 0\n"
+
+
+def test_rm_verify_reports_a_machine_outside_normal_form(tmp_path, capsys):
+    text = "registers 2\noutput r1\nstart p\np: ADD r2 -> h | h\nh: HALT\n"
+    path = put(tmp_path, "m.rm", text)
+    code, out, err = invoke(capsys, "rm-verify", path, "--bound", "3")
+    assert code == 4
+    assert json.loads(out)["ok"] is False
+    assert err.splitlines() == [
+        "halt at h leaves non-output registers {'r2': 1}; "
+        "the machine is not in compiler normal form",
+        "values produced by the machine only: [0]",
+        "values produced by the compiled system only: [1]",
+    ]
+
+
+def test_validate_reports_a_membrane_named_twice(tmp_path, capsys):
+    path = put(tmp_path, "t.psys", VALID.replace("@membranes 1", "@membranes 1(2 2)"))
+    code, out, err = invoke(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert err == f"{path}:4:16: D007: membrane 2 appears twice\n"
+
+
 def test_compile_rm_unwritable_output_exits_one(tmp_path, capsys):
     source = put(tmp_path, "m.rm", MACHINE)
     code, out, err = invoke(capsys, "compile-rm", source, "-o", str(tmp_path))

@@ -777,6 +777,8 @@ def test_configuration_equality_and_hash():
     b = Configuration({1: ms("a")}, EnvContent({"e"}, ms("b")))
     assert a == b and hash(a) == hash(b)
     assert a.total_inside == 1 and a.total_tracked == 2
+    with pytest.raises(KeyError):
+        a.region_size(2)
 
 
 def test_configuration_contract_holds_across_construction_routes():

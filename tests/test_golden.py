@@ -6,9 +6,11 @@ the choices of the greedy policy. Seeded runs depend on all three, so
 these tests pin them exactly.
 """
 
+import ast
 import hashlib
 import json
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -351,6 +353,20 @@ def test_public_surface_is_pinned():
     assert sorted(psys.__all__) == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert getattr(psys, name) is not None, name
+
+
+def test_package_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"__future__", "psys"}
+    for path in sorted(Path(psys.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, (path.name, name)
 
 
 def _defect(rng, sys):

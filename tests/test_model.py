@@ -87,6 +87,11 @@ def test_structure_problems():
 def test_structure_equality():
     assert MembraneStructure(2, {2: 1}) == MembraneStructure(2, {2: 1})
     assert MembraneStructure(2, {2: 1}) != MembraneStructure(1, {})
+    one, other = MembraneStructure(3, {2: 1, 3: 1}), MembraneStructure(3, {3: 1, 2: 1})
+    assert one == other and hash(one) == hash(other)
+    for field in ("n", "parent"):
+        with pytest.raises(AttributeError):
+            setattr(one, field, 1)
 
 
 # ---------------------------------------------------------------- cell validation

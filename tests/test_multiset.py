@@ -112,8 +112,19 @@ def test_membership_and_count():
 
 
 def test_env_disjointness_enforced():
-    with pytest.raises(ValueError):
-        EnvContent({"a"}, ms("a b"))
+    message = r"^finite remainder overlaps the unlimited pool: \['a', 'b'\]$"
+    with pytest.raises(ValueError, match=message):
+        EnvContent({"b", "a"}, ms("a b c"))
+
+
+def test_env_content_is_a_value():
+    listed, built = EnvContent(["b", "a"], ms("c")), EnvContent({"a", "b"}, ms("c"))
+    assert listed == built and hash(listed) == hash(built)
+    assert listed != EnvContent({"a"}, ms("c")) and listed != EnvContent({"a", "b"})
+    for field in ("infinite", "finite"):
+        with pytest.raises(AttributeError):
+            setattr(listed, field, frozenset())
+    assert repr(EnvContent(["b", "a"], Multiset("c"))) == "EnvContent(['a', 'b'], Multiset('c'))"
 
 
 def test_parse_basics():
