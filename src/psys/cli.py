@@ -201,15 +201,12 @@ def cmd_classify(args) -> int:
 def _load_machine(path: str) -> tuple[rm.RegisterMachine, rm.CompiledSystem]:
     """The machine at `path` and its compiled system; exit 2 when it cannot compile."""
     machine = _parsed(path, dsl.parse_machine)
-    problems = rm.machine_problems(machine)
-    if not problems:
-        try:
-            return machine, rm.compile_machine(machine)
-        except rm.CompileError as err:
-            problems = [err]
-    for problem in problems:
-        print(f"{path}: {problem}", file=sys.stderr)
-    raise _CliFailure(EXIT_INVALID)
+    try:
+        return machine, rm.compile_machine(machine)
+    except rm.CompileError as err:
+        for problem in err.problems:
+            print(f"{path}: {problem}", file=sys.stderr)
+        raise _CliFailure(EXIT_INVALID) from err
 
 
 def cmd_compile_rm(args) -> int:

@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import (
@@ -627,7 +627,8 @@ class Engine:
 
         Shuffles a copy of the scan table, one entry per rule, so the draws
         are those of `rng.shuffle` on the rule indices. Returns the granted
-        (index, m) pairs in index order and the residual pools.
+        (index, m) pairs in index order and the residual pools: each grant
+        lands in a per-rule slot, read back in index order without a sort.
         Availability only shrinks as rules are granted, so one pass leaves
         nothing extendable. A system with an unbounded rule raises for the
         first one, as `_enabled` does, before any draw.
@@ -637,7 +638,7 @@ class Engine:
         order = self._scan[:]
         _shuffle(order, self._draws, rng)
         pools = list(counts)
-        granted = []
+        bounds = [0] * len(self.rules)
         # `_take` inlined: this runs for every rule of every step.
         for index, slot, count, rest in order:
             bound = pools[slot] // count
@@ -655,9 +656,8 @@ class Engine:
                 for other, k in rest:
                     pools[other] -= bound * k
             pools[slot] -= bound * count
-            granted.append((index, bound))
-        granted.sort()
-        return granted, pools
+            bounds[index] = bound
+        return list(compress(enumerate(bounds), bounds)), pools
 
     def run_accepting(
         self,
@@ -679,37 +679,64 @@ class Engine:
         return ("accepted" if trace.halted else "budget_exhausted"), trace
 
 
+class _Choices(dict):
+    """(rule index, n) -> that application's JSON text, made when first met.
+
+    Holds at most 16 pairs per rule, so its memory is bounded by the system
+    and not by the length of the run; a pair met once it is full is written
+    afresh each time.
+    """
+
+    def __init__(self, rules: Sequence[TransferRule]):
+        super().__init__()
+        self.heads = [f'{{"rule": {json.dumps(rule.rid)}, "n": ' for rule in rules]
+        self.room = 16 * len(rules)
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        index, n = pair
+        text = f"{self.heads[index]}{n}}}"
+        if len(self) < self.room:
+            self[pair] = text
+        return text
+
+
 def trace_to_lines(engine: Engine, trace: Trace) -> Iterator[str]:
     """The trace as JSON lines: the start, each step, then a summary.
 
     Each line is what `json.dumps(record, separators=(", ", ": "))` gives,
-    written from the count vectors with keys made once per rule and slot.
-    `trace.steps` is read once, in order, so a computation still running
-    streams its lines as its steps are taken; `halted` is read after them.
+    written from the count vectors with keys made once per region and slot
+    of a layout, and each (rule, n) application's text made once per call
+    for up to 16 distinct pairs per rule. `trace.steps` is read once, in
+    order, so a computation still running streams its lines as its steps
+    are taken; `halted` is read after them.
     """
-    rules = [f'{{"rule": {json.dumps(rule.rid)}, "n": ' for rule in engine.rules]
-    keys: dict[_Layout, list[list[tuple[int, str]]]] = {}
+    choice_text = _Choices(engine.rules).__getitem__
+    keys: dict[_Layout, tuple[list[str], list[list[tuple[int, str]]]]] = {}
 
     def snapshot(c: Configuration) -> str:
         layout, counts = engine._counts(c)
         if layout not in keys:
-            # [(slot, '"name": '), ...] for each region, then for the environment.
-            keys[layout] = [
-                [(i, f"{json.dumps(name)}: ") for i, name in layout.nodes.get(node, ())]
-                for node in (*layout.labels, 0)
-            ]
+            # '"label": ' for each region, and [(slot, '"name": '), ...] for
+            # each region, then for the environment.
+            keys[layout] = (
+                [f'"{label}": ' for label in layout.labels],
+                [
+                    [(i, f"{json.dumps(name)}: ") for i, name in layout.nodes.get(node, ())]
+                    for node in (*layout.labels, 0)
+                ],
+            )
+        prefixes, nodes = keys[layout]
         *regions, env = [
             "{" + ", ".join([key + str(counts[i]) for i, key in entries if counts[i]]) + "}"
-            for entries in keys[layout]
+            for entries in nodes
         ]
-        inside = ", ".join([f'"{label}": {held}' for label, held in zip(layout.labels, regions)])
-        return f'"regions": {{{inside}}}, "env": {env}'
+        return f'"regions": {{{", ".join(map(add, prefixes, regions))}}}, "env": {env}'
 
     c, t = trace.initial, 0
     yield f'{{"step": 0, {snapshot(c)}}}'
     for t, step in enumerate(trace.steps, start=1):
         c = step.after
-        choice = ", ".join([f"{rules[index]}{m}}}" for index, m in step.choice.applications])
+        choice = ", ".join(map(choice_text, step.choice.applications))
         note = f', "note": {json.dumps(step.note)}' if step.note else ""
         yield f'{{"step": {t}, "choice": [{choice}], {snapshot(c)}{note}}}'
     result = f', "result": {c.region_size(engine.output)}' if trace.halted else ""

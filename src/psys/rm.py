@@ -70,7 +70,11 @@ class RegisterMachine:
 
 
 class CompileError(ValueError):
-    pass
+    """The machine cannot be compiled; `problems` lists every reason, one text each."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 def machine_problems(m: RegisterMachine) -> list[str]:
@@ -192,7 +196,7 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
     """
     problems = machine_problems(m)
     if problems:
-        raise CompileError("; ".join(problems))
+        raise CompileError(*problems)
     names: list[str] = [register_object(r) for r in range(1, m.num_registers + 1)]
     symbol_map = {f"r{r}": name for r, name in enumerate(names, start=1)}
 

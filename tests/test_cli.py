@@ -12,9 +12,9 @@ import pytest
 
 from psys import cli, dsl
 from psys.engine import Engine, trace_to_lines
-from psys.multiset import parse_multiset
+from psys.multiset import Multiset, parse_multiset
 
-from gen import random_cell_system, random_shared_system, random_tissue_system
+from gen import random_cell_system, random_shared_system, random_system, random_tissue_system
 
 RING = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "ring.psys"
 
@@ -324,6 +324,27 @@ def test_machine_commands_need_a_register(tmp_path, capsys, command):
     assert err == f"{path}: need at least one register, got 0\n"
 
 
+@pytest.mark.parametrize("command", ["compile-rm", "rm-verify"])
+def test_machine_commands_print_one_line_per_problem(tmp_path, capsys, command):
+    path = put(tmp_path, "m.rm", "registers 1\noutput r3\nstart p\np: ADD r2 -> q | h\nh: HALT\n")
+    code, out, err = invoke(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"{path}: output register r3 out of range",
+        f"{path}: p: register r2 out of range",
+        f"{path}: p: jump target 'q' is not defined",
+    ]
+
+
+def test_rm_verify_checks_its_machine_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    checked = cli.rm.machine_problems
+    monkeypatch.setattr(cli.rm, "machine_problems", lambda m: calls.append(m) or checked(m))
+    code, _, _ = invoke(capsys, "rm-verify", put(tmp_path, "m.rm", MACHINE), "--bound", "3")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_rm_verify_reports_a_machine_outside_normal_form(tmp_path, capsys):
     text = "registers 2\noutput r1\nstart p\np: ADD r2 -> h | h\nh: HALT\n"
     path = put(tmp_path, "m.rm", text)
@@ -537,21 +558,102 @@ def test_streamed_run_prints_the_collected_trace(tmp_path, capsys):
     assert min(seen.values()) >= 10, seen
 
 
-def test_run_memory_does_not_grow_with_max_steps():
+def _run_peaks(*argv):
+    """Exit codes and tracemalloc peaks of `psys run` for 200 and 4,000 steps."""
+
     def peak(steps):
-        argv = ["run", str(RING), "--policy", "greedy-random", "--seed", "7", "--max-steps", str(steps)]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
-                code = cli.main(argv)
+                code = cli.main(["run", *argv, "--max-steps", str(steps)])
                 return code, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
     peak(1)  # the first call builds the argument parser and fills import caches
-    (short_code, short), (long_code, long) = peak(200), peak(4_000)
+    return peak(200), peak(4_000)
+
+
+def test_run_memory_does_not_grow_with_max_steps():
+    (short_code, short), (long_code, long) = _run_peaks(
+        str(RING), "--policy", "greedy-random", "--seed", "7"
+    )
     assert short_code == long_code == 3
     assert long <= short + 64 * 1024, (short, long)
+
+
+# r3's multiplicity grows by one each step, so every step's choice is new.
+GROWING = """\
+@model tissue
+@objects a g
+@env a g
+@cells 2
+@init 1: g
+@rules: (1, g / g a, 0)
+@rules: (1, a, 2)
+@rules: (2, a / a, 0)
+@output 2
+"""
+
+
+def test_run_memory_does_not_grow_while_multiplicities_grow(tmp_path):
+    path = put(tmp_path, "growing.psys", GROWING)
+    (short_code, short), (long_code, long) = _run_peaks(path, "--policy", "greedy-random")
+    assert short_code == long_code == 3
+    assert long <= short + 64 * 1024, (short, long)
+
+
+def _oracle_lines(eng, trace):
+    """The trace's lines as json.dumps writes its records, built from multisets and rule ids."""
+
+    def contents(c):
+        return {
+            "regions": {str(label): dict(ms.items()) for label, ms in sorted(c.regions.items())},
+            "env": dict(c.env.finite.items()),
+        }
+
+    c = trace.initial
+    records = [{"step": 0, **contents(c)}]
+    for t, step in enumerate(trace.steps, start=1):
+        c = step.after
+        choice = [{"rule": eng.rules[i].rid, "n": m} for i, m in step.choice.applications]
+        records.append({"step": t, "choice": choice, **contents(c)})
+        if step.note:
+            records[-1]["note"] = step.note
+    records.append({"halted": trace.halted, "steps": len(trace.steps)})
+    if trace.halted:
+        records[-1]["result"] = sum(k for _, k in c.regions[eng.output].items())
+    return [json.dumps(record, separators=(", ", ": ")) for record in records]
+
+
+def test_trace_lines_match_records_built_from_multisets():
+    rng = random.Random(2023)
+    # Input names outside every generated alphabet, two of them needing escapes.
+    outside = Multiset({"zz": 2, 'q"\\': 1, "é": 1})
+    seen = {"greedy": 0, "fallback": 0, "result": 0, "outside": 0}
+    for k in range(300):
+        sys_ = random_shared_system(rng) if k % 2 else random_system(rng)
+        eng = Engine(sys_)
+        seed, steps = rng.randrange(1_000), rng.randint(1, 12)
+        given = outside + Multiset([rng.choice(sorted(sys_.alphabet))])
+        traces = [
+            eng.run(seed, steps, "greedy-random"),
+            eng.run(seed, steps, "enumerate-uniform", cap=1),
+            eng.run_accepting(given, rng.choice(list(eng.labels)), seed, steps)[1],
+        ]
+        for trace in traces:
+            assert list(trace_to_lines(eng, trace)) == _oracle_lines(eng, trace)
+        seen["greedy"] += traces[0].steps_taken > 0
+        seen["fallback"] += any(step.note for step in traces[1].steps)
+        seen["result"] += sum(trace.halted for trace in traces)
+        seen["outside"] += traces[2].steps_taken > 0
+    assert min(seen.values()) >= 25, seen
+    # More distinct (rule, n) pairs than the 16 per rule that trace_to_lines keeps.
+    eng = Engine(dsl.parse_system(GROWING)[0])
+    trace = eng.run(0, 120, "greedy-random")
+    pairs = {pair for step in trace.steps for pair in step.choice.applications}
+    assert len(pairs) > 16 * len(eng.rules)
+    assert list(trace_to_lines(eng, trace)) == _oracle_lines(eng, trace)
 
 
 def test_run_stops_at_the_first_failed_write_to_a_closed_pipe(tmp_path):
