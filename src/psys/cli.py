@@ -102,6 +102,21 @@ def _parsed(path: str, parse):
     return value
 
 
+@contextlib.contextmanager
+def _counts_printed():
+    """Exit 1 with one message, not a traceback, when `str()` refuses a count."""
+    try:
+        yield
+    except ValueError as err:
+        # Only Python's limit of `sys.get_int_max_str_digits()` digits is
+        # caught; lines written before the failing one stay on stdout.
+        if "integer string conversion" not in str(err):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: cannot write output: a count has more than {limit} digits", file=sys.stderr)
+        raise _CliFailure(EXIT_USAGE) from err
+
+
 def _validated_system(path: str):
     sys_ = _parsed(path, dsl.parse_system)
     report = validate(sys_)
@@ -117,22 +132,11 @@ def cmd_validate(args) -> int:
     if args.pretty:
         print(str(report))
     else:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "violations": [
-                        {
-                            "code": v.code,
-                            "severity": v.severity,
-                            "location": v.location,
-                            "message": v.message,
-                        }
-                        for v in report.violations
-                    ],
-                }
-            )
-        )
+        violations = [
+            {"code": v.code, "severity": v.severity, "location": v.location, "message": v.message}
+            for v in report.violations
+        ]
+        print(json.dumps({"ok": report.ok, "violations": violations}))
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -158,8 +162,9 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     trace = engine._running(start, args.seed, args.max_steps, args.policy)
     write = sys.stdout.write
-    for line in trace_to_lines(engine, trace):
-        write(line + "\n")
+    with _counts_printed():
+        for line in trace_to_lines(engine, trace):
+            write(line + "\n")
     if args.accept is not None:
         print(json.dumps({"accept": "accepted" if trace.halted else "budget_exhausted"}))
     return EXIT_OK if trace.halted else EXIT_BUDGET
@@ -174,18 +179,20 @@ def cmd_explore(args) -> int:
         max_configs=args.max_configs,
     )
     outcome = explore(sys_, budget)
-    print(json.dumps(outcome.as_dict(), indent=2 if args.pretty else None))
+    with _counts_printed():
+        print(json.dumps(outcome.as_dict(), indent=2 if args.pretty else None))
     return EXIT_OK if outcome.exhausted else EXIT_BUDGET
 
 
 def cmd_profile(args) -> int:
     sys_ = _validated_system(args.file)
     measured = profile(sys_)
-    if args.pretty:
-        for key, value in measured.as_dict().items():
-            print(f"{key:18} {value}")
-    else:
-        print(json.dumps(measured.as_dict()))
+    with _counts_printed():
+        if args.pretty:
+            for key, value in measured.as_dict().items():
+                print(f"{key:18} {value}")
+        else:
+            print(json.dumps(measured.as_dict()))
     return EXIT_OK
 
 

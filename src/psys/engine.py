@@ -475,51 +475,41 @@ class Engine:
             taken.update(slots)
         else:
             return ((tuple(enabled),), True) if cap >= 1 else ((), False)
-        in_play = [(index, self._takes[index]) for index, _ in enabled]
+        indices = [index for index, _ in enabled]
+        needs = [self._takes[index] for index in indices]
+        last = len(needs) - 1
         pools = list(held)
-        counts = [0] * len(in_play)
+        counts = [0] * len(needs)
         choices: list[tuple[tuple[int, int], ...]] = []
-        aborted = False
         # Every jointly applicable multiplicity vector, highest counts
         # first, keeping the ones no single extra application extends.
-        # Each level takes its rule's resources out of the residual pools
-        # and gives them back one application at a time. Abort only once
-        # we are sure to overflow, so hitting cap exactly still reports a
-        # complete enumeration.
+        # A descent gives each rule from `pos` on its top count; the
+        # backtrack gives the last rule all of its count back (below its
+        # top it could fire once more, so no smaller count of it is
+        # maximal) and one application back from the latest rule still
+        # holding any. Stop only once we are sure to overflow, so hitting
+        # cap exactly still reports a complete enumeration.
         work_limit = max(cap * 64, 65_536)
-        leaves = 0
-
-        def dfs(pos: int):
-            nonlocal aborted, leaves
+        leaves = pos = 0
+        while True:
+            for pos in range(pos, last + 1):
+                need = needs[pos]
+                counts[pos] = m = _bound(need, pools)
+                _take(need, pools, m)
+            leaves += 1
+            if not any(_bound(need, pools) for need in needs):
+                choices.append(tuple(compress(zip(indices, counts), counts)))
+            _take(needs[last], pools, -counts[last])
+            pos = last - 1
+            while pos >= 0 and not counts[pos]:
+                pos -= 1
+            if pos < 0:
+                return tuple(choices[:cap]), len(choices) <= cap
             if len(choices) > cap or leaves >= work_limit:
-                aborted = True
-                return
-            if pos == len(in_play):
-                leaves += 1
-                if not any(_bound(need, pools) for _, need in in_play):
-                    choices.append(
-                        tuple((index, m) for (index, _), m in zip(in_play, counts) if m)
-                    )
-                return
-            need = in_play[pos][1]
-            m = _bound(need, pools)
-            # Below its top multiplicity the last rule in play could fire
-            # once more, so no smaller count of it is maximal.
-            low = m if pos == len(in_play) - 1 else 0
-            _take(need, pools, m)
-            while True:
-                counts[pos] = m
-                dfs(pos + 1)
-                if aborted or m == low:
-                    break
-                _take(need, pools, -1)
-                m -= 1
-            _take(need, pools, -m)
-
-        dfs(0)
-        if len(choices) > cap:
-            return tuple(choices[:cap]), False
-        return tuple(choices), not aborted
+                return tuple(choices[:cap]), False
+            _take(needs[pos], pools, -1)
+            counts[pos] -= 1
+            pos += 1
 
     def apply(self, c: Configuration, choice: StepChoice) -> Configuration:
         """Apply one step: consume everything first, then add all products.

@@ -696,3 +696,46 @@ def test_run_into_a_full_device_exits_one(tmp_path):
     err = done.stderr.decode()
     assert done.returncode == 1
     assert err.splitlines() == ["error: cannot write output: [Errno 28] No space left on device"]
+
+
+def test_run_lists_more_rules_in_play_than_the_recursion_limit(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 100
+    names = [f"b{i}" for i in range(1, n + 1)]
+    rules = "".join(f"@rules 1: (a, out; {name}, in)\n" for name in names)
+    path = put(
+        tmp_path,
+        "many.psys",
+        f"@model cell\n@objects a {' '.join(names)}\n@env {' '.join(names)}\n"
+        f"@membranes 1\n@init 1: a\n{rules}@output 1\n",
+    )
+    code, out, err = invoke(capsys, "run", path, "--max-steps", "1")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 3
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="needs Python's limit on integer string conversion",
+)
+def test_a_count_too_long_to_print_ends_in_one_error_line(tmp_path, capsys):
+    # `str()` refuses an int of more than `limit` digits. Doubling a count of
+    # `limit` digits reaches `limit + 1` digits after four steps.
+    limit = sys.get_int_max_str_digits()
+    doubling = DRAIN.replace("@env", "@env a").replace("(a, out)", "(a, out; a^2, in)")
+    path = put(tmp_path, "grow.psys", doubling.replace("a^2\n", f"a^1{'0' * (limit - 1)}\n"))
+    code, out, err = invoke(capsys, "run", path)
+    assert code == 1
+    assert len(out.splitlines()) == 4 and json.loads(out.splitlines()[-1])["step"] == 3
+    assert err == f"error: cannot write output: a count has more than {limit} digits\n"
+    # Two counts that each print, and their sum that does not, in a halted start.
+    nines = "9" * limit
+    halted = DRAIN.replace("@rules 1: (a, out)\n", "")
+    path = put(tmp_path, "sum.psys", halted.replace("a^2\n", f"a^{nines} a^{nines}\n"))
+    for command in ("explore", "run"):
+        code, out, err = invoke(capsys, command, path)
+        assert (code, out, len(err.splitlines())) == (1, "", 1), command
+    # A rule whose size is that sum.
+    path = put(tmp_path, "size.psys", DRAIN.replace("(a, out)", f"(a^{nines} a^{nines}, out)"))
+    for flags in ([], ["--pretty"]):
+        code, _, err = invoke(capsys, "profile", path, *flags)
+        assert (code, len(err.splitlines())) == (1, 1), flags

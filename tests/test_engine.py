@@ -1,8 +1,10 @@
 import json
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -224,6 +226,55 @@ def test_rules_taking_disjoint_objects_form_one_step_without_search(k, cap):
     assert time.perf_counter() - start < 1.0
     assert got == ((StepChoice(tuple((i, 1) for i in range(k))),), True)
     assert eng.maximal_steps(eng.initial(), cap=0) == ((), False)
+
+
+def test_listing_holds_more_rules_in_play_than_the_recursion_limit():
+    # n rules (a, out; b_i, in) compete for one a. The search keeps its
+    # place in two lists, not on the call stack, so a listing may hold
+    # more rules in play than Python's recursion limit allows frames.
+    n = sys.getrecursionlimit() + 100
+    names = [f"b{i}" for i in range(1, n + 1)]
+    system = cell(
+        [CellRule(1, CellAntiport(ms("a"), ms(name))) for name in names],
+        alphabet=("a", *names),
+        env=names,
+    )
+    eng = Engine(system)
+    choices, complete = eng.maximal_steps(eng.initial(), cap=3)
+    assert [choice.applications for choice in choices] == [((0, 1),), ((1, 1),), ((2, 1),)]
+    assert not complete
+    outcome = explore(system)
+    assert outcome.results == {1} and outcome.exhausted and outcome.halting_leaves == n
+
+
+def test_work_limit_cuts_a_listing_at_a_fixed_leaf():
+    # r1 (z, out; w, in) comes first, then a pair (o_i, out; x_i | y_i, in)
+    # for each of ten o_i. The search tree has 2 * 3^9 * 2 = 78,732 leaves,
+    # half under each count of r1. The 2^10 maximal steps all fire r1, so
+    # they lie in the first half (39,366 leaves), and every leaf of the
+    # second half leaves z behind. The work limit is max(cap * 64, 65,536)
+    # leaves: at cap 1,100 it is 70,400, which cuts the second half; at cap
+    # 2,000 it is 128,000, past the whole tree.
+    pairs = [(f"o{i}", f"x{i}", f"y{i}") for i in range(10)]
+    rules = [CellRule(1, CellAntiport(ms("z"), ms("w")))]
+    for o, x, y in pairs:
+        rules += [CellRule(1, CellAntiport(ms(o), ms(x))), CellRule(1, CellAntiport(ms(o), ms(y)))]
+    unlimited = ["w", *(name for _, x, y in pairs for name in (x, y))]
+    held = ["z", *(o for o, _, _ in pairs)]
+    system = cell(rules, init=" ".join(held), alphabet=(*held, *unlimited), env=unlimited)
+    eng = Engine(system)
+    start = eng.initial()
+    cut, complete = eng.maximal_steps(start, cap=1_100)
+    assert len(cut) == 1_024 and not complete
+    whole, complete = eng.maximal_steps(start, cap=2_000)
+    assert whole == cut and complete
+    # r1 once and one rule of each pair: r1 is rule 0, o_i's pair rules 2i+1 and 2i+2.
+    # (maximal_steps_oracle agrees, but walks all 2^21 count vectors in about two minutes.)
+    expected = {
+        frozenset({(0, 1), *((2 * i + 1 + side, 1) for i, side in enumerate(sides))})
+        for sides in product((0, 1), repeat=10)
+    }
+    assert choice_set(whole) == expected
 
 
 def test_step_choices_are_canonically_ordered():

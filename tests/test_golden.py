@@ -369,6 +369,30 @@ def test_package_imports_only_the_standard_library():
                 assert name.partition(".")[0] in allowed, (path.name, name)
 
 
+def test_no_function_calls_itself():
+    """No function in the package calls itself, so no input's size meets the recursion limit.
+
+    A call counts when it names the function it is in, or when a method
+    calls `self.<its own name>`. Indirect recursion, through a chain of two
+    or more functions, is not caught. Deep trees keep an explicit stack,
+    as `dsl.format_structure` does.
+    """
+    for path in sorted(Path(psys.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                callee = getattr(call, "func", None)
+                named = isinstance(callee, ast.Name) and callee.id == fn.name
+                through_self = (
+                    isinstance(callee, ast.Attribute)
+                    and callee.attr == fn.name
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id == "self"
+                )
+                assert not (named or through_self), f"{path.name}:{call.lineno}: {fn.name}"
+
+
 def _defect(rng, sys):
     """A copy of `sys` with one structured defect its kind can have."""
     cell = isinstance(sys, psys.CellPSystem)
