@@ -17,14 +17,17 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import add, itemgetter
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
     CellAntiport,
     CellPSystem,
+    CellRule,
+    InteractionRule,
     PSystem,
     TissueAntiport,
     TissuePSystem,
+    TissueRule,
     UniportRule,
     cell_channel,
     cell_rule_text,
@@ -175,11 +178,24 @@ _set_layout, _set_counts = (
 
 @dataclass(frozen=True)
 class TransferRule:
-    """One rule of a system: its position, positional id (r1, r2, ...) and text."""
+    """One rule of a system: its position, positional id (r1, r2, ...) and source.
+
+    `text` is made when read, never up front: a valid rule may hold a count
+    with more digits than Python converts to text.
+    """
 
     index: int
     rid: str
-    text: str
+    source: Union[CellRule, TissueRule, InteractionRule, UniportRule]
+
+    @property
+    def text(self) -> str:
+        rule = self.source
+        if isinstance(rule, CellRule):
+            return f"{cell_rule_text(rule)} @ {rule.region}"
+        if isinstance(rule, (InteractionRule, UniportRule)):
+            return interaction_rule_text(rule)
+        return tissue_rule_text(rule)
 
 
 @dataclass(frozen=True)
@@ -223,48 +239,30 @@ class Trace:
             yield step.after
 
 
-def _moves(sys: PSystem, rule) -> tuple[str, list[tuple[int, Multiset, int]]]:
-    """Display text of one rule and the (src, objects, dst) moves it makes."""
+def _moves(sys: PSystem, rule) -> list[tuple[int, Multiset, int]]:
+    """The (src, objects, dst) moves one rule makes."""
     if isinstance(sys, CellPSystem):
         src, dst = cell_channel(sys.structure, rule)
-        text, form = f"{cell_rule_text(rule)} @ {rule.region}", rule.form
+        form = rule.form
     elif isinstance(sys, TissuePSystem):
-        src, dst, text, form = rule.src, rule.dst, tissue_rule_text(rule), rule
+        src, dst, form = rule.src, rule.dst, rule
+    elif isinstance(rule, UniportRule):
+        return [(rule.src, Multiset([rule.obj]), rule.dst)]
     else:
-        text = interaction_rule_text(rule)
-        if isinstance(rule, UniportRule):
-            return text, [(rule.src, Multiset([rule.obj]), rule.dst)]
-        return text, [
+        return [
             (rule.src_a, Multiset([rule.obj_a]), rule.dst_a),
             (rule.src_b, Multiset([rule.obj_b]), rule.dst_b),
         ]
     # A symport or antiport, cell form or tissue rule, across src -> dst.
     if isinstance(form, (CellAntiport, TissueAntiport)):
-        return text, [(src, form.outbound, dst), (dst, form.inbound, src)]
-    return text, [(src, form.objects, dst)]
+        return [(src, form.outbound, dst), (dst, form.inbound, src)]
+    return [(src, form.objects, dst)]
 
 
 # Resource accounting works on residual pools: a list of counts, one per
 # slot of the configuration's layout. A rule's take table lists (slot,
 # count) for every finitely-tracked object it takes, in (node, name) order,
 # and its give table the same for what it gives.
-_Table = tuple[tuple[int, int], ...]
-
-
-def _bound(need: _Table, pools) -> Optional[int]:
-    """How many more applications fit into the pools; None if unbounded."""
-    bound = None
-    for slot, count in need:
-        fits = pools[slot] // count
-        if bound is None or fits < bound:
-            bound = fits
-    return bound
-
-
-def _take(need: _Table, pools: list[int], m: int) -> None:
-    """Remove `m` applications' worth of `need` in place; negative `m` gives back."""
-    for slot, count in need:
-        pools[slot] -= m * count
 
 
 def _draws(n: int) -> list[tuple[int, int]]:
@@ -324,15 +322,14 @@ class Engine:
         rules, takes, gives = [], [], []
         pairs = set(start)
         for pos, rule in enumerate(sys.rules):
-            text, moves = _moves(sys, rule)
             take, give = {}, {}
-            for src, objects, dst in moves:
+            for src, objects, dst in _moves(sys, rule):
                 for name, count in objects.items():
                     if src or name not in unlimited:
                         take[src, name] = take.get((src, name), 0) + count
                     if dst or name not in unlimited:
                         give[dst, name] = give.get((dst, name), 0) + count
-            rules.append(TransferRule(pos, f"r{pos + 1}", text))
+            rules.append(TransferRule(pos, f"r{pos + 1}", rule))
             takes.append(take)
             gives.append(give)
             pairs.update(take, give)
@@ -477,29 +474,57 @@ class Engine:
             return ((tuple(enabled),), True) if cap >= 1 else ((), False)
         indices = [index for index, _ in enabled]
         needs = [self._takes[index] for index in indices]
+        # `_enabled` raised if a rule took no tracked object, so every rule
+        # in play has a scan entry: (first slot, first count, other takes).
+        rows = [self._scan[index][1:] for index in indices]
         last = len(needs) - 1
         pools = list(held)
         counts = [0] * len(needs)
         choices: list[tuple[tuple[int, int], ...]] = []
         # Every jointly applicable multiplicity vector, highest counts
         # first, keeping the ones no single extra application extends.
-        # A descent gives each rule from `pos` on its top count; the
+        # A descent gives each rule from `start` on its top count; the
         # backtrack gives the last rule all of its count back (below its
         # top it could fire once more, so no smaller count of it is
         # maximal) and one application back from the latest rule still
-        # holding any. Stop only once we are sure to overflow, so hitting
-        # cap exactly still reports a complete enumeration.
+        # holding any, then descends from the rule after it. Stop only once
+        # we are sure to overflow, so hitting cap exactly still reports a
+        # complete enumeration.
         work_limit = max(cap * 64, 65_536)
-        leaves = pos = 0
+        leaves = start = 0
         while True:
-            for pos in range(pos, last + 1):
-                need = needs[pos]
-                counts[pos] = m = _bound(need, pools)
-                _take(need, pools, m)
+            for pos in range(start, last + 1):
+                slot, count, rest = rows[pos]
+                m = pools[slot] // count
+                if m:
+                    for other, k in rest:
+                        fits = pools[other] // k
+                        if fits < m:
+                            m = fits
+                            if not fits:
+                                break
+                    if m:
+                        pools[slot] -= m * count
+                        for other, k in rest:
+                            pools[other] -= m * k
+                counts[pos] = m
             leaves += 1
-            if not any(_bound(need, pools) for need in needs):
+            # The rules from `start` on took their top count and the pools
+            # have only shrunk since, so none of them fits once more. The
+            # leaf is maximal unless a rule before `start` fits; the one
+            # that just gave an application back is the likeliest, so the
+            # test runs from it down.
+            for i in range(start - 1, -1, -1):
+                for slot, count in needs[i]:
+                    if pools[slot] < count:
+                        break
+                else:
+                    break
+            else:
                 choices.append(tuple(compress(zip(indices, counts), counts)))
-            _take(needs[last], pools, -counts[last])
+            m = counts[last]
+            for slot, count in needs[last]:
+                pools[slot] += m * count
             pos = last - 1
             while pos >= 0 and not counts[pos]:
                 pos -= 1
@@ -507,9 +532,10 @@ class Engine:
                 return tuple(choices[:cap]), len(choices) <= cap
             if len(choices) > cap or leaves >= work_limit:
                 return tuple(choices[:cap]), False
-            _take(needs[pos], pools, -1)
+            for slot, count in needs[pos]:
+                pools[slot] += count
             counts[pos] -= 1
-            pos += 1
+            start = pos + 1
 
     def apply(self, c: Configuration, choice: StepChoice) -> Configuration:
         """Apply one step: consume everything first, then add all products.
@@ -629,7 +655,7 @@ class Engine:
         _shuffle(order, self._draws, rng)
         pools = list(counts)
         bounds = [0] * len(self.rules)
-        # `_take` inlined: this runs for every rule of every step.
+        # The takes are inlined: this runs for every rule of every step.
         for index, slot, count, rest in order:
             bound = pools[slot] // count
             if not bound:
@@ -669,24 +695,23 @@ class Engine:
         return ("accepted" if trace.halted else "budget_exhausted"), trace
 
 
-class _Choices(dict):
-    """(rule index, n) -> that application's JSON text, made when first met.
+class _Texts(dict):
+    """n -> `head` + str(n) + `tail`, made when first met.
 
-    Holds at most 16 pairs per rule, so its memory is bounded by the system
-    and not by the length of the run; a pair met once it is full is written
-    afresh each time.
+    Keeps at most 32 entries, so its memory does not grow with the length of
+    the run; an n met once it is full is written afresh each time.
     """
 
-    def __init__(self, rules: Sequence[TransferRule]):
-        super().__init__()
-        self.heads = [f'{{"rule": {json.dumps(rule.rid)}, "n": ' for rule in rules]
-        self.room = 16 * len(rules)
+    __slots__ = ("head", "tail")
 
-    def __missing__(self, pair: tuple[int, int]) -> str:
-        index, n = pair
-        text = f"{self.heads[index]}{n}}}"
-        if len(self) < self.room:
-            self[pair] = text
+    def __init__(self, head: str, tail: str = ""):
+        super().__init__()
+        self.head, self.tail = head, tail
+
+    def __missing__(self, n: int) -> str:
+        text = f"{self.head}{n}{self.tail}"
+        if len(self) < 32:
+            self[n] = text
         return text
 
 
@@ -694,30 +719,33 @@ def trace_to_lines(engine: Engine, trace: Trace) -> Iterator[str]:
     """The trace as JSON lines: the start, each step, then a summary.
 
     Each line is what `json.dumps(record, separators=(", ", ": "))` gives,
-    written from the count vectors with keys made once per region and slot
-    of a layout, and each (rule, n) application's text made once per call
-    for up to 16 distinct pairs per rule. `trace.steps` is read once, in
-    order, so a computation still running streams its lines as its steps
-    are taken; `halted` is read after them.
+    written from the count vectors. Each rule's `{"rule": id, "n": N}` text
+    and each slot's `"name": N` text come from a table per rule and per slot
+    of a layout, made once per call and holding up to 32 values of N each.
+    `trace.steps` is read once, in order, so a computation still running
+    streams its lines as its steps are taken; `halted` is read after them.
     """
-    choice_text = _Choices(engine.rules).__getitem__
-    keys: dict[_Layout, tuple[list[str], list[list[tuple[int, str]]]]] = {}
+    choices = [_Texts(f'{{"rule": {json.dumps(rule.rid)}, "n": ', "}") for rule in engine.rules]
+    keys: dict[_Layout, tuple[list[str], list[list[tuple[int, _Texts]]]]] = {}
 
     def snapshot(c: Configuration) -> str:
         layout, counts = engine._counts(c)
         if layout not in keys:
-            # '"label": ' for each region, and [(slot, '"name": '), ...] for
+            # '"label": ' for each region, and [(slot, its texts), ...] for
             # each region, then for the environment.
             keys[layout] = (
                 [f'"{label}": ' for label in layout.labels],
                 [
-                    [(i, f"{json.dumps(name)}: ") for i, name in layout.nodes.get(node, ())]
+                    [
+                        (i, _Texts(f"{json.dumps(name)}: "))
+                        for i, name in layout.nodes.get(node, ())
+                    ]
                     for node in (*layout.labels, 0)
                 ],
             )
         prefixes, nodes = keys[layout]
         *regions, env = [
-            "{" + ", ".join([key + str(counts[i]) for i, key in entries if counts[i]]) + "}"
+            "{" + ", ".join([texts[n] for i, texts in entries if (n := counts[i])]) + "}"
             for entries in nodes
         ]
         return f'"regions": {{{", ".join(map(add, prefixes, regions))}}}, "env": {env}'
@@ -726,7 +754,7 @@ def trace_to_lines(engine: Engine, trace: Trace) -> Iterator[str]:
     yield f'{{"step": 0, {snapshot(c)}}}'
     for t, step in enumerate(trace.steps, start=1):
         c = step.after
-        choice = ", ".join(map(choice_text, step.choice.applications))
+        choice = ", ".join([choices[i][n] for i, n in step.choice.applications])
         note = f', "note": {json.dumps(step.note)}' if step.note else ""
         yield f'{{"step": {t}, "choice": [{choice}], {snapshot(c)}{note}}}'
     result = f', "result": {c.region_size(engine.output)}' if trace.halted else ""

@@ -6,6 +6,7 @@ import select
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -648,11 +649,14 @@ def test_trace_lines_match_records_built_from_multisets():
         seen["result"] += sum(trace.halted for trace in traces)
         seen["outside"] += traces[2].steps_taken > 0
     assert min(seen.values()) >= 25, seen
-    # More distinct (rule, n) pairs than the 16 per rule that trace_to_lines keeps.
+    # More distinct values of n for one rule, and of a count for one slot,
+    # than the 32 that trace_to_lines keeps for each rule and each slot.
     eng = Engine(dsl.parse_system(GROWING)[0])
     trace = eng.run(0, 120, "greedy-random")
     pairs = {pair for step in trace.steps for pair in step.choice.applications}
-    assert len(pairs) > 16 * len(eng.rules)
+    assert max(Counter(index for index, _ in pairs).values()) > 32
+    values = [{c._counts[i] for c in trace.configurations()} for i in range(len(eng._start))]
+    assert max(map(len, values)) > 32
     assert list(trace_to_lines(eng, trace)) == _oracle_lines(eng, trace)
 
 
@@ -734,8 +738,12 @@ def test_a_count_too_long_to_print_ends_in_one_error_line(tmp_path, capsys):
     for command in ("explore", "run"):
         code, out, err = invoke(capsys, command, path)
         assert (code, out, len(err.splitlines())) == (1, "", 1), command
-    # A rule whose size is that sum.
+    # A rule whose size is that sum: `profile` prints its size, while `run`
+    # and `explore` never print the rule, which does not fit the start.
     path = put(tmp_path, "size.psys", DRAIN.replace("(a, out)", f"(a^{nines} a^{nines}, out)"))
     for flags in ([], ["--pretty"]):
         code, _, err = invoke(capsys, "profile", path, *flags)
         assert (code, len(err.splitlines())) == (1, 1), flags
+    for command in ("run", "explore"):
+        code, _, err = invoke(capsys, command, path)
+        assert (code, err) == (0, ""), command

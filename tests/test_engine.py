@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +276,29 @@ def test_work_limit_cuts_a_listing_at_a_fixed_leaf():
         for sides in product((0, 1), repeat=10)
     }
     assert choice_set(whole) == expected
+
+
+RING = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "ring.psys"
+
+
+def test_work_limit_cuts_the_ring_listing_at_its_first_step():
+    # At the 8-cell ring's start 80 of its 88 rules can fire, many of them
+    # contending for one object, so the listing is wide. At cap 1 the work
+    # limit is 65,536 leaves: the first maximal step is found, then the
+    # limit cuts the listing before a second one or the end of the tree.
+    eng = Engine(parse_system(RING.read_text(encoding="utf-8"))[0])
+    (first,), complete = eng.maximal_steps(eng.initial(), cap=1)
+    assert not complete
+    assert first.applications == (
+        (8, 11), (10, 3), (11, 5), (13, 8), (14, 11), (15, 14), (16, 5), (17, 8),
+        (18, 5), (19, 9), (21, 8), (23, 6), (24, 14), (25, 5), (26, 8), (27, 11),
+        (28, 5), (30, 3), (31, 5), (32, 6), (33, 6), (34, 5), (35, 8), (36, 11),
+        (37, 14), (38, 8), (40, 3), (41, 8), (42, 6), (44, 8), (45, 11), (46, 14),
+        (47, 5), (48, 11), (50, 3), (51, 5), (54, 11), (55, 14), (56, 5), (57, 8),
+        (58, 5), (59, 9), (61, 8), (63, 6), (64, 14), (65, 5), (66, 8), (67, 11),
+        (68, 5), (70, 3), (71, 5), (72, 6), (73, 6), (74, 5), (75, 8), (76, 11),
+        (77, 14), (78, 8), (80, 3), (82, 14), (84, 8), (85, 11), (86, 14), (87, 5),
+    )
 
 
 def test_step_choices_are_canonically_ordered():
