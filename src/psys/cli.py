@@ -246,7 +246,9 @@ def cmd_rm_verify(args) -> int:
     print(json.dumps(report.as_dict(), indent=2 if args.pretty else None))
     for message in report.messages:
         print(message, file=sys.stderr)
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+    if report.ok:
+        return EXIT_OK
+    return EXIT_BUDGET if report.inconclusive else EXIT_MISMATCH
 
 
 @functools.cache

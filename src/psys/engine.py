@@ -297,11 +297,13 @@ class Engine:
     """Transition function of one system.
 
     Instances are cheap and stateless beyond the rules, the slot layout,
-    the rules' take and give tables over it and the lookups derived from
-    the take tables once (the scan table, the first unbounded rule and
-    each rule's take slots); all methods are pure functions of the
-    configuration they receive, which draws on the system's unlimited
-    supply.
+    the rules' take and give tables over it, the lookups derived from the
+    take tables once (the scan table, the first unbounded rule and each
+    rule's take slots) and, from the first step applied, each rule's net
+    table; all methods are pure functions of the configuration they
+    receive, which draws on the system's unlimited supply. A walk past
+    `explore.COMPILE_AFTER` configurations replaces `_enabled` on the
+    instance by generated code of the same output (`_compile_scan`).
     """
 
     def __init__(self, sys: PSystem):
@@ -353,6 +355,8 @@ class Engine:
         self._take_slots = [tuple([slot for slot, _ in need]) for need in self._takes]
         # The greedy pass shuffles the scan table; seeded traces pin its draws.
         self._draws = _draws(len(self._scan))
+        # Each rule's (slot, gives less takes) for every slot it changes.
+        self._nets: Optional[list[tuple[tuple[int, int], ...]]] = None
 
     def initial(
         self, input_objects: Multiset = EMPTY, input_region: Optional[int] = None
@@ -402,7 +406,10 @@ class Engine:
         return self._lowered(dict(c._held()), (0,) * len(self._start))
 
     def _enabled(self, pools) -> list[tuple[int, int]]:
-        """(rule index, largest standalone multiplicity) of every applicable rule."""
+        """(rule index, largest standalone multiplicity) of every applicable rule.
+
+        `_compile_scan` may replace this loop on an instance.
+        """
         # A rule with no tracked take fits any configuration without bound, so
         # the first one in index order is reported before any rule is tested.
         if self._unbounded is not None:
@@ -423,6 +430,39 @@ class Engine:
             if bound:
                 out.append((index, bound))
         return out
+
+    def _compile_scan(self) -> None:
+        """Install a straight-line `_enabled` of the same output on this engine.
+
+        The generated function has one `if` block per rule and skips
+        the division where a take count is 1. Only slot and rule indices,
+        ints the engine made, go into the source text; every take count is
+        read from a constants tuple, so no count goes through `str()` and no
+        object name or label reaches the text. An engine with an unbounded
+        rule keeps the loop, which raises for that rule; an engine already
+        compiled keeps its function.
+        """
+        if self._unbounded is not None or "_enabled" in vars(self):
+            return
+        constants: dict[int, int] = {}
+        lines = ["def _enabled(p, k=k):", " out = []"]
+        # Without an unbounded rule every rule has a scan entry, in index order.
+        for index, need in enumerate(self._takes):
+            tests, steps = [], []
+            for j, (slot, count) in enumerate(need):
+                if count == 1:
+                    tests.append(f"(t{j} := p[{slot}])")
+                else:
+                    at = constants.setdefault(count, len(constants))
+                    tests.append(f"(t{j} := p[{slot}]) >= k[{at}]")
+                    steps.append(f"  t{j} //= k[{at}]")
+                if j:
+                    steps.append(f"  if t{j} < t0: t0 = t{j}")
+            lines += [f" if {' and '.join(tests)}:", *steps, f"  out.append(({index}, t0))"]
+        lines.append(" return out")
+        namespace = {"k": tuple(constants)}
+        exec("\n".join(lines), namespace)
+        self._enabled = namespace["_enabled"]
 
     def enabled(self, c: Configuration) -> list[tuple[TransferRule, int]]:
         """Rules applicable at least once, with the largest standalone multiplicity."""
@@ -545,27 +585,40 @@ class Engine:
         indicates a defect in the caller, not bad user input.
         """
         layout, counts = self._counts(c)
-        return Configuration._of(layout, self._after(layout, counts, choice.applications))
-
-    def _after(
-        self, layout: _Layout, counts: tuple[int, ...], applications
-    ) -> tuple[int, ...]:
-        """The counts after `applications`: all takes from `counts`, then all gives."""
-        pools = list(counts)
+        applications = choice.applications
+        # The step's takes, summed per slot in order, must fit the old counts.
+        taken: dict[int, int] = {}
         takes = self._takes
         for index, m in applications:
             for slot, count in takes[index]:
-                left = pools[slot] - m * count
-                if left < 0:
+                taken[slot] = total = taken.get(slot, 0) + m * count
+                if total > counts[slot]:
                     node, name = layout.slots[slot]
                     raise MultisetUnderflow(
                         f"step {applications} takes more {name} than node {node} holds"
                     )
-                pools[slot] = left
-        gives = self._gives
+        return Configuration._of(layout, self._after(counts, applications))
+
+    def _after(self, counts: tuple[int, ...], applications) -> tuple[int, ...]:
+        """The counts after `applications`, a step that fits `counts`.
+
+        Adds each rule's net table, gives less takes, so a slot a rule both
+        takes and gives at is touched once; the step's takes are not tested.
+        """
+        nets = self._nets
+        if nets is None:
+            # Made on the first step: many engines never apply one, and
+            # building the tables up front would cost every engine's set-up.
+            nets = self._nets = []
+            for take, give in zip(self._takes, self._gives):
+                net = dict(give)
+                for slot, count in take:
+                    net[slot] = net.get(slot, 0) - count
+                nets.append(tuple([(slot, delta) for slot, delta in net.items() if delta]))
+        pools = list(counts)
         for index, m in applications:
-            for slot, count in gives[index]:
-                pools[slot] += m * count
+            for slot, delta in nets[index]:
+                pools[slot] += m * delta
         return tuple(pools)
 
     def _give(self, pools: list[int], applications) -> None:

@@ -251,6 +251,14 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
 
 @dataclass
 class VerificationReport:
+    """The audit's verdict.
+
+    `ok` means the result sets are equal and the machine is in normal form.
+    `inconclusive` means the sets differ only by values that the other
+    side's walk, cut by a budget, may have missed: `ok` is then False, but
+    no mismatch is proven, and `psys rm-verify` exits 3 rather than 4.
+    """
+
     ok: bool
     bound: int
     machine_results: frozenset[int]
@@ -259,6 +267,7 @@ class VerificationReport:
     system_exhausted: bool
     normal_form_ok: bool
     messages: tuple[str, ...] = ()
+    inconclusive: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -284,9 +293,12 @@ def verify_compilation(
     truncated to [0..value_bound]. The machine side prunes any register
     above the bound; the system side explores every configuration whose
     tracked total fits num_registers * bound + 2 (one program object
-    plus one marker above the register content). A machine that must
-    push a register beyond the bound to produce a small value can
-    therefore report a spurious mismatch; this is a desk-scale audit,
+    plus one marker above the register content). The two cuts differ: a
+    machine that must push a register beyond the bound to produce a
+    small value has that value only on the system side. So a value one
+    side alone produced proves a mismatch only when the other side's
+    walk was exhausted; otherwise the report is `inconclusive`, with one
+    message naming the side that was cut. This is a desk-scale audit,
     not a proof.
 
     Also checks the compiler's normal-form requirement: every reachable
@@ -318,13 +330,24 @@ def verify_compilation(
     # The machine side never exceeds the bound; only the system's results need the cut.
     system_results = frozenset(value for value in outcome.results if value <= value_bound)
     ok = machine_results == system_results and normal_form_ok
-    if machine_results != system_results:
-        only_machine = sorted(machine_results - system_results)
-        only_system = sorted(system_results - machine_results)
-        if only_machine:
-            messages.append(f"values produced by the machine only: {only_machine}")
-        if only_system:
-            messages.append(f"values produced by the compiled system only: {only_system}")
+    only_machine = sorted(machine_results - system_results)
+    only_system = sorted(system_results - machine_results)
+    proven = (only_machine and outcome.exhausted) or (only_system and machine_exhausted)
+    inconclusive = bool(normal_form_ok and (only_machine or only_system) and not proven)
+    found = [
+        f"values produced by the {side} only: {values}"
+        for side, values in (("machine", only_machine), ("compiled system", only_system))
+        if values
+    ]
+    if inconclusive:
+        cut = [
+            f"the {side}'s walk was cut by a budget"
+            for side, missed in (("compiled system", only_machine), ("machine", only_system))
+            if missed
+        ]
+        messages.append(f"no mismatch proven: {'; '.join(found)}, but {' and '.join(cut)}")
+    else:
+        messages += found
     return VerificationReport(
         ok=ok,
         bound=value_bound,
@@ -334,6 +357,7 @@ def verify_compilation(
         system_exhausted=outcome.exhausted,
         normal_form_ok=normal_form_ok,
         messages=tuple(messages),
+        inconclusive=inconclusive,
     )
 
 

@@ -4,7 +4,8 @@ All generators take a random.Random and return systems that pass
 validation, so the engine never refuses them. Shapes stay small on
 purpose: the brute-force oracle enumerates full application-count
 vectors and anything larger would make it the bottleneck. `junk_text`
-is the exception: it makes arbitrary text for the parsers.
+is the exception: it makes arbitrary text for the parsers, and
+`random_machine` makes register machines for the compiler.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from psys.model import (
     UniportRule,
 )
 from psys.multiset import Multiset
+from psys.rm import Add, Halt, RegisterMachine, Sub
 
 
 def random_multiset(rng: random.Random, names, low=1, high=2, max_count=3) -> Multiset:
@@ -246,6 +248,23 @@ def random_shared_system(rng: random.Random, max_rules=4):
         else:
             rules.append(TissueAntiport(src, need(), need(), dst))
     return TissuePSystem(names, n, init, env, rules, rng.randint(1, n))
+
+
+def random_machine(rng: random.Random) -> RegisterMachine:
+    """A machine of 1-2 registers and 2-6 instructions, output r1, start p0.
+
+    The last label halts; every other one adds or subtracts on a random
+    register and jumps to random labels. Nothing forces compiler normal
+    form, so some machines halt with r2 non-zero.
+    """
+    registers = rng.randint(1, 2)
+    labels = [f"p{i}" for i in range(rng.randint(2, 6))]
+    instructions = {labels[-1]: Halt()}
+    for label in labels[:-1]:
+        kind = Add if rng.random() < 0.5 else Sub
+        register = rng.randint(1, registers)
+        instructions[label] = kind(register, rng.choice(labels), rng.choice(labels))
+    return RegisterMachine(registers, 1, labels[0], instructions)
 
 
 def junk_text(rng) -> str:

@@ -360,6 +360,44 @@ def test_rm_verify_reports_a_machine_outside_normal_form(tmp_path, capsys):
     ]
 
 
+SEED77 = """\
+registers 2
+output r1
+start p0
+p0: ADD r1 -> p0 | p2
+p1: ADD r1 -> p1 | p0
+p2: SUB r1 -> p3 | p1
+p3: HALT
+"""
+
+
+def test_rm_verify_exits_three_when_a_cut_walk_may_hide_the_value(tmp_path, capsys):
+    code, out, err = invoke(capsys, "rm-verify", put(tmp_path, "m.rm", SEED77), "--bound", "8")
+    assert code == 3
+    assert json.loads(out)["ok"] is False
+    assert err == (
+        "no mismatch proven: values produced by the compiled system only: [8], "
+        "but the machine's walk was cut by a budget\n"
+    )
+
+
+def test_rm_verify_exits_four_on_a_wrong_compilation(tmp_path, capsys, monkeypatch):
+    # sub_drain with the Sub's exits swapped in the compiled system only:
+    # both walks finish, so the differing values prove a mismatch.
+    text = "registers 1\noutput r1\nstart p0\np0: ADD r1 -> p1 | p1\np1: ADD r1 -> q0 | q0\n"
+    wrong = dsl.parse_machine(text + "q0: SUB r1 -> ph | q0\nph: HALT\n")[0]
+    compile_machine = cli.rm.compile_machine
+    monkeypatch.setattr(cli.rm, "compile_machine", lambda m: compile_machine(wrong))
+    path = put(tmp_path, "m.rm", text + "q0: SUB r1 -> q0 | ph\nph: HALT\n")
+    code, out, err = invoke(capsys, "rm-verify", path, "--bound", "4")
+    assert code == 4
+    assert json.loads(out)["ok"] is False
+    assert err.splitlines() == [
+        "values produced by the machine only: [0]",
+        "values produced by the compiled system only: [1]",
+    ]
+
+
 def test_validate_reports_a_membrane_named_twice(tmp_path, capsys):
     path = put(tmp_path, "t.psys", VALID.replace("@membranes 1", "@membranes 1(2 2)"))
     code, out, err = invoke(capsys, "validate", path)
@@ -560,7 +598,12 @@ def test_streamed_run_prints_the_collected_trace(tmp_path, capsys):
 
 
 def _run_peaks(*argv):
-    """Exit codes and tracemalloc peaks of `psys run` for 200 and 4,000 steps."""
+    """Exit codes and tracemalloc peaks of `psys run` for 4,000 and 20,000 steps.
+
+    Both runs are long enough for bounded per-call tables (such as the
+    trace writer's 32-entry text tables) to have filled, so the gap
+    between them is growth with the run, not a table filling up.
+    """
 
     def peak(steps):
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -572,7 +615,7 @@ def _run_peaks(*argv):
                 tracemalloc.stop()
 
     peak(1)  # the first call builds the argument parser and fills import caches
-    return peak(200), peak(4_000)
+    return peak(4_000), peak(20_000)
 
 
 def test_run_memory_does_not_grow_with_max_steps():

@@ -1,5 +1,7 @@
+import importlib
 import json
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -19,7 +21,7 @@ from psys.engine import (
     trace_to_lines,
 )
 from psys.dsl import parse_system
-from psys.explore import ExploreOutcome, explore
+from psys.explore import ExploreBudget, ExploreOutcome, explore
 from psys.model import (
     CellAntiport,
     CellPSystem,
@@ -27,6 +29,7 @@ from psys.model import (
     MembraneStructure,
     SymportIn,
     SymportOut,
+    TissueAntiport,
     TissueSymport,
     TissuePSystem,
     encode_cell_as_tissue,
@@ -93,8 +96,12 @@ def test_enabled_rejects_rules_with_no_finite_bound():
     # rule. The first unbounded rule in index order is the one reported.
     unbounded = [CellRule(1, SymportIn(ms("a"))), CellRule(1, SymportIn(ms("c")))]
     bounded = CellRule(1, SymportOut(ms("b")))
-    for rules, rid in ((unbounded[:1], "r1"), ([bounded, *unbounded], "r2")):
+    # Forcing the generated scan leaves the loop, which raises, in place.
+    cases = product(((unbounded[:1], "r1"), ([bounded, *unbounded], "r2")), (False, True))
+    for (rules, rid), compiled in cases:
         eng = Engine(cell(rules, init="b", env=("a", "c")))
+        if compiled:
+            eng._compile_scan()
         for call in (eng.enabled, eng.maximal_steps, lambda c: explore(eng, start=c)):
             with pytest.raises(UnboundedStepError, match=f"rule {rid} "):
                 call(eng.initial())
@@ -139,9 +146,11 @@ def test_enabled_and_steps_agree_with_the_oracle_on_each_scan_branch():
     rng = random.Random(41)
     names = ["a", "b", "c", "d", "zz"]
     appended = 0
-    for outs, contents in SCAN_BRANCHES:
+    for (outs, contents), compiled in product(SCAN_BRANCHES, (False, True)):
         sys = cell([CellRule(1, SymportOut(ms(out))) for out in outs], init="empty")
         eng = Engine(sys)
+        if compiled:
+            eng._compile_scan()
         # zz is outside the alphabet: the input gets a slot appended to the layout.
         inputs = [ms(contents), ms(contents + " zz")]
         inputs += [Multiset(rng.choices(names, k=rng.randint(0, 7))) for _ in range(30)]
@@ -155,7 +164,7 @@ def test_enabled_and_steps_agree_with_the_oracle_on_each_scan_branch():
             steps, complete = eng.maximal_steps(c)
             expected = maximal_steps_oracle(sys, regions, env_finite)
             assert complete and choice_set(steps) == expected, (outs, objects)
-    assert appended >= len(SCAN_BRANCHES)
+    assert appended >= 2 * len(SCAN_BRANCHES)
 
 
 def test_maximal_steps_two_competing_rules():
@@ -359,6 +368,18 @@ def test_apply_of_a_choice_that_does_not_fit_underflows():
     # after every consumption, so the empty environment remainder underflows.
     with pytest.raises(MultisetUnderflow):
         eng.apply(c, StepChoice(((0, 1), (1, 1))))
+
+
+def test_apply_of_a_net_zero_rule_still_takes_first():
+    # (1, a / a, 0) with a tracked on both sides changes no count, so its
+    # net table is empty; a multiplicity above cell 1's a must still fail.
+    sys = TissuePSystem(["a"], 1, {1: ms("a^2")}, (), [TissueAntiport(1, ms("a"), ms("a"), 0)], 1)
+    eng = Engine(sys)
+    c = Configuration({1: ms("a^2")}, EnvContent(frozenset(), ms("a^5")))
+    assert eng.apply(c, StepChoice(((0, 2),))) == c
+    with pytest.raises(MultisetUnderflow) as raised:
+        eng.apply(c, StepChoice(((0, 3),)))
+    assert str(raised.value) == "step ((0, 3),) takes more a than node 1 holds"
 
 
 def test_apply_is_deterministic():
@@ -1003,3 +1024,111 @@ def test_inside_total_sums_the_regions():
     for c in configurations:
         assert c.total_inside == sum(c.region_size(label) for label in c._layout.labels)
         assert c.total_inside == sum(region.size for region in c.regions.values())
+
+
+# ---------------------------------------------------------------- generated scan
+
+# The modules, not the `psys.explore` function that shadows its module's name.
+engine_module = importlib.import_module("psys.engine")
+explore_module = importlib.import_module("psys.explore")
+
+
+def _scans(eng):
+    """The loop's `_enabled` and, after `_compile_scan`, the generated one."""
+    loop = Engine._enabled.__get__(eng)
+    eng._compile_scan()
+    assert "_enabled" in vars(eng)
+    return loop, eng._enabled
+
+
+def test_generated_scan_equals_the_loop_on_random_systems():
+    rng = random.Random(73)
+    compared = several = 0
+    for seed in range(400):
+        sys = random_system(random.Random(seed))
+        eng = Engine(sys)
+        loop, generated = _scans(eng)
+        trace = eng.run(seed, max_steps=4, policy="greedy-random")
+        names = sorted(sys.alphabet)
+        region = rng.choice(list(eng.labels))
+        extra = eng.initial(Multiset(rng.choices(names, k=rng.randint(1, 6))), region)
+        for c in (*trace.configurations(), extra):
+            counts = eng._counts(c)[1]
+            assert generated(counts) == loop(counts), (seed, c)
+            compared += 1
+            several += len(loop(counts)) > 1
+    assert compared >= 900 and several >= 80, (compared, several)
+
+
+def test_generated_scan_equals_the_loop_on_ring_configurations():
+    eng = Engine(parse_system(RING.read_text(encoding="utf-8"))[0])
+    loop, generated = _scans(eng)
+    trace = eng.run(7, max_steps=1_999, policy="greedy-random")
+    configurations = list(trace.configurations())
+    assert len(configurations) == 2_000
+    for c in configurations:
+        assert generated(c._counts) == loop(c._counts)
+
+
+def test_generated_scan_reads_counts_past_the_digit_limit():
+    # A take count of 4,301 digits goes through no str(): it sits in the
+    # constants tuple the generated code reads.
+    huge = 10 ** (sys.get_int_max_str_digits() + 1) - 1
+    rules = [CellRule(1, SymportOut(Multiset({"a": huge}))), CellRule(1, SymportOut(ms("b^3")))]
+    init = {1: Multiset({"a": huge - 1})}
+    eng = Engine(CellPSystem(["a", "b"], MembraneStructure(1), init, (), rules, 1))
+    loop, generated = _scans(eng)
+    assert generated(eng.initial()._counts) == []
+    for a, b in product((0, 1, huge, 2 * huge + 1), (0, 2, 7)):
+        counts = eng.initial(Multiset({"a": a, "b": b}), 1)._counts
+        assert generated(counts) == loop(counts)
+    assert generated(eng.initial(Multiset({"a": huge + 2, "b": 7}), 1)._counts) == [(0, 2), (1, 2)]
+
+
+def test_generated_scan_source_holds_no_object_name_or_label(monkeypatch):
+    sources = []
+
+    def spy(text, namespace):
+        sources.append(text)
+        exec(text, namespace)
+
+    monkeypatch.setattr(engine_module, "exec", spy, raising=False)
+    names = ["Apple", "Berry", "Cider"]
+    rules = [
+        TissueAntiport(70, Multiset({"Apple": 2, "Berry": 1}), ms("Cider"), 0),
+        TissueSymport(90, Multiset({"Cider": 5}), 70),
+        TissueSymport(0, ms("Berry"), 90),
+    ]
+    init = {70: ms("Apple^4 Berry"), 90: ms("Cider^5")}
+    eng = Engine(TissuePSystem(names, 90, init, (), rules, 70))
+    loop, generated = _scans(eng)
+    (source,) = sources
+    words = set(re.findall(r"[A-Za-z_]\w*", source))
+    keywords = {"def", "_enabled", "p", "k", "out", "append", "if", "and", "return"}
+    assert words <= keywords | {"t0", "t1", "t2"}, words
+    # Every literal is a slot or rule index, so neither label 70 nor 90
+    # appears; the take counts other than 1 sit in the constants tuple.
+    assert max(map(int, re.findall(r"\b\d+\b", source))) < len(eng._layout.slots) < 70
+    assert generated.__defaults__ == ((2, 5),)
+    assert generated(eng.initial()._counts) == loop(eng.initial()._counts)
+
+
+def test_walks_give_equal_outcomes_with_the_scan_generated_or_not(monkeypatch):
+    budget = ExploreBudget(max_depth=10_000, max_total_objects=32 * 2 + 2)
+    for machine in verification_suite():
+        system = compile_machine(machine).system
+        monkeypatch.setattr(explore_module, "COMPILE_AFTER", 10**9)
+        plain = Engine(system)
+        loop_outcome = explore(plain, budget)
+        assert "_enabled" not in vars(plain)
+        monkeypatch.undo()
+        forced = Engine(system)
+        forced._compile_scan()
+        assert explore(forced, budget) == loop_outcome, machine
+        # Left to itself a walk generates the scan once its memo is large.
+        default = Engine(system)
+        assert explore(default, budget) == loop_outcome
+        assert ("_enabled" in vars(default)) == (
+            loop_outcome.visited_configs >= explore_module.COMPILE_AFTER
+        )
+    assert loop_outcome.visited_configs >= explore_module.COMPILE_AFTER  # transfer

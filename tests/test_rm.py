@@ -1,3 +1,5 @@
+import importlib
+import random
 import timeit
 
 import pytest
@@ -22,6 +24,7 @@ from psys.rm import (
     verify_compilation,
 )
 
+from gen import random_machine
 from machines import (
     add_loop,
     even_numbers,
@@ -362,6 +365,91 @@ def CellPSystem_like(sys, rules):
         rules=rules,
         output=sys.output,
     )
+
+
+# Written out in ROADMAP item V: it reaches r1 = n only through r1 = n + 1.
+SEED77 = RegisterMachine(
+    2,
+    1,
+    "p0",
+    {"p0": Add(1, "p0", "p2"), "p1": Add(1, "p1", "p0"), "p2": Sub(1, "p3", "p1"), "p3": Halt()},
+)
+
+
+def test_verify_a_value_past_the_machine_cut_is_inconclusive():
+    # The machine side prunes r1 = 9, the only way to 8; the compiled
+    # system's object budget leaves room for it. No mismatch is proven.
+    report = verify_compilation(SEED77, value_bound=8)
+    assert not report.ok and report.inconclusive and report.normal_form_ok
+    assert not report.machine_exhausted
+    assert report.system_results - report.machine_results == {8}
+    assert report.messages == (
+        "no mismatch proven: values produced by the compiled system only: [8], "
+        "but the machine's walk was cut by a budget",
+    )
+
+
+def swapped_sub_drain() -> CompiledSystem:
+    """sub_drain's compiled system with the Sub's two exits swapped."""
+    machine = sub_drain()
+    ins = machine.instructions["q0"]
+    machine.instructions["q0"] = Sub(ins.register, ins.goto_zero, ins.goto_nonzero)
+    return compile_machine(machine)
+
+
+def test_verify_a_wrong_compilation_of_finished_walks_is_a_mismatch():
+    report = verify_compilation(sub_drain(), value_bound=4, compiled=swapped_sub_drain())
+    assert report.machine_exhausted and report.system_exhausted
+    assert not report.ok and not report.inconclusive
+    assert report.messages == (
+        "values produced by the machine only: [0]",
+        "values produced by the compiled system only: [1]",
+    )
+
+
+def _halts(m, bound):
+    """Reachable halting register vectors with every register at most `bound`."""
+    seen, todo, halts = set(), [(m.start, (0,) * m.num_registers)], set()
+    while todo:
+        label, regs = state = todo.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        ins = m.instructions[label]
+        i = getattr(ins, "register", 1) - 1
+        if isinstance(ins, Halt):
+            halts.add(regs)
+        elif isinstance(ins, Add) and regs[i] < bound:
+            bumped = regs[:i] + (regs[i] + 1,) + regs[i + 1 :]
+            todo += [(ins.goto_a, bumped), (ins.goto_b, bumped)]
+        elif isinstance(ins, Sub):
+            dropped = regs[:i] + (regs[i] - 1,) + regs[i + 1 :]
+            todo.append((ins.goto_nonzero, dropped) if regs[i] else (ins.goto_zero, regs))
+    return halts
+
+
+def test_verify_generated_machines(monkeypatch):
+    # Walks keep the loop scan unless forced, so both scans are compared.
+    monkeypatch.setattr(importlib.import_module("psys.explore"), "COMPILE_AFTER", 10**9)
+    seen = {"ok": 0, "inconclusive": 0, "outside normal form": 0}
+    budget = ExploreBudget(max_depth=10_000, max_total_objects=2 * 4 + 2)
+    for seed in range(300):
+        m = random_machine(random.Random(seed))
+        report = verify_compilation(m, value_bound=4)
+        normal = all(not any(regs[1:]) for regs in _halts(m, 4))
+        assert report.normal_form_ok == normal, seed
+        if not normal:
+            assert not report.ok and not report.inconclusive
+            seen["outside normal form"] += 1
+        else:
+            # Never a proven mismatch: the compiler is right on normal-form machines.
+            assert report.ok or report.inconclusive, (seed, report.messages)
+            seen["ok" if report.ok else "inconclusive"] += 1
+        system = compile_machine(m).system
+        forced = Engine(system)
+        forced._compile_scan()
+        assert explore(forced, budget) == explore(system, budget), seed
+    assert seen["ok"] >= 250 and min(seen.values()) >= 2, seen
 
 
 def test_verify_flags_normal_form_breach():
