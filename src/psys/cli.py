@@ -102,21 +102,6 @@ def _parsed(path: str, parse):
     return value
 
 
-@contextlib.contextmanager
-def _counts_printed():
-    """Exit 1 with one message, not a traceback, when `str()` refuses a count."""
-    try:
-        yield
-    except ValueError as err:
-        # Only Python's limit of `sys.get_int_max_str_digits()` digits is
-        # caught; lines written before the failing one stay on stdout.
-        if "integer string conversion" not in str(err):
-            raise
-        limit = sys.get_int_max_str_digits()
-        print(f"error: cannot write output: a count has more than {limit} digits", file=sys.stderr)
-        raise _CliFailure(EXIT_USAGE) from err
-
-
 def _validated_system(path: str):
     sys_ = _parsed(path, dsl.parse_system)
     report = validate(sys_)
@@ -162,9 +147,8 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     trace = engine._running(start, args.seed, args.max_steps, args.policy)
     write = sys.stdout.write
-    with _counts_printed():
-        for line in trace_to_lines(engine, trace):
-            write(line + "\n")
+    for line in trace_to_lines(engine, trace):
+        write(line + "\n")
     if args.accept is not None:
         print(json.dumps({"accept": "accepted" if trace.halted else "budget_exhausted"}))
     return EXIT_OK if trace.halted else EXIT_BUDGET
@@ -179,20 +163,18 @@ def cmd_explore(args) -> int:
         max_configs=args.max_configs,
     )
     outcome = explore(sys_, budget)
-    with _counts_printed():
-        print(json.dumps(outcome.as_dict(), indent=2 if args.pretty else None))
+    print(json.dumps(outcome.as_dict(), indent=2 if args.pretty else None))
     return EXIT_OK if outcome.exhausted else EXIT_BUDGET
 
 
 def cmd_profile(args) -> int:
     sys_ = _validated_system(args.file)
     measured = profile(sys_)
-    with _counts_printed():
-        if args.pretty:
-            for key, value in measured.as_dict().items():
-                print(f"{key:18} {value}")
-        else:
-            print(json.dumps(measured.as_dict()))
+    if args.pretty:
+        for key, value in measured.as_dict().items():
+            print(f"{key:18} {value}")
+    else:
+        print(json.dumps(measured.as_dict()))
     return EXIT_OK
 
 
@@ -349,6 +331,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _silence_stdout()
         with contextlib.suppress(OSError):
             print(f"error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as err:
+        # Only Python's limit of `sys.get_int_max_str_digits()` digits is
+        # caught; lines written before the failing one stay on stdout.
+        if "integer string conversion" not in str(err):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: cannot write output: a count has more than {limit} digits", file=sys.stderr)
         return EXIT_USAGE
 
 

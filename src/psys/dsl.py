@@ -6,8 +6,10 @@ diagnostics rather than an exception. All three run inside one net
 (`_total`) that turns a parser bug into a D011 diagnostic. Parsing only
 builds values; the model validators judge them, so a file can parse
 cleanly and still be rejected as an invalid system. Printers are defined
-on every value a parser returns, a membrane forest included; they emit
-one canonical form, byte for byte, and parse(print(x)) reconstructs x.
+on every value a parser returns, a membrane forest included, except one
+that sums counts into a count of more than `sys.get_int_max_str_digits()`
+digits (`a^N a^N`): `str()` refuses it and they raise `ValueError`. They
+emit one canonical form, byte for byte, and parse(print(x)) reconstructs x.
 
 System file shape (directives in any order, one per line, `#` comments):
 

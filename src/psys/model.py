@@ -364,7 +364,8 @@ def _validate(sys, shape, regions, output, check_rule, rule_text) -> ValidationR
     the output label, `regions` the labels init may name, and
     check_rule(rule, out) reports one rule's violations with an empty
     location. The location, "rule <n> <rule_text(rule)>", is only made
-    for a rule with a violation: most rules have none.
+    for a rule with a violation: most rules have none. It is "rule <n>"
+    when the rule holds a count that `str()` will not write.
     """
     out = [
         Violation(BAD_OBJECT_NAME, "alphabet", f"invalid object name {name!r}")
@@ -386,7 +387,10 @@ def _validate(sys, shape, regions, output, check_rule, rule_text) -> ValidationR
         found = len(out)
         check_rule(rule, out)
         if len(out) > found:
-            where = f"rule {idx + 1} {rule_text(rule)}"
+            try:
+                where = f"rule {idx + 1} {rule_text(rule)}"
+            except ValueError:  # a count too long for str() to write
+                where = f"rule {idx + 1}"
             out[found:] = [replace(v, location=where) for v in out[found:]]
     out.extend(output)
     return ValidationReport(tuple(out))

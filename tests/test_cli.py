@@ -770,17 +770,21 @@ def test_a_count_too_long_to_print_ends_in_one_error_line(tmp_path, capsys):
     limit = sys.get_int_max_str_digits()
     doubling = DRAIN.replace("@env", "@env a").replace("(a, out)", "(a, out; a^2, in)")
     path = put(tmp_path, "grow.psys", doubling.replace("a^2\n", f"a^1{'0' * (limit - 1)}\n"))
+    message = f"error: cannot write output: a count has more than {limit} digits\n"
     code, out, err = invoke(capsys, "run", path)
     assert code == 1
     assert len(out.splitlines()) == 4 and json.loads(out.splitlines()[-1])["step"] == 3
-    assert err == f"error: cannot write output: a count has more than {limit} digits\n"
+    assert err == message
     # Two counts that each print, and their sum that does not, in a halted start.
     nines = "9" * limit
     halted = DRAIN.replace("@rules 1: (a, out)\n", "")
     path = put(tmp_path, "sum.psys", halted.replace("a^2\n", f"a^{nines} a^{nines}\n"))
-    for command in ("explore", "run"):
-        code, out, err = invoke(capsys, command, path)
-        assert (code, out, len(err.splitlines())) == (1, "", 1), command
+    # The same sum as the input of an accepting run.
+    drain = put(tmp_path, "drain.psys", DRAIN)
+    accepting = ["run", drain, "--accept", f"a^{nines} a^{nines}", "--region", "1"]
+    for argv in (["explore", path], ["run", path], accepting):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (1, "", message), argv[:2]
     # A rule whose size is that sum: `profile` prints its size, while `run`
     # and `explore` never print the rule, which does not fit the start.
     path = put(tmp_path, "size.psys", DRAIN.replace("(a, out)", f"(a^{nines} a^{nines}, out)"))
@@ -790,3 +794,27 @@ def test_a_count_too_long_to_print_ends_in_one_error_line(tmp_path, capsys):
     for command in ("run", "explore"):
         code, _, err = invoke(capsys, command, path)
         assert (code, err) == (0, ""), command
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="needs Python's limit on integer string conversion",
+)
+def test_a_rule_too_long_to_write_fails_validation_at_its_number(tmp_path, capsys):
+    # The rule's text does not print, so its violation names the rule by number.
+    nines = "9" * sys.get_int_max_str_digits()
+    path = put(
+        tmp_path,
+        "loop.psys",
+        "@model tissue\n@objects a\n@env\n@cells 1\n@init 1: a\n"
+        f"@rules: (1, a^{nines} a^{nines}, 1)\n@output 1\n",
+    )
+    line = "V006 [error] rule 1: rule endpoints must differ"
+    code, out, err = invoke(capsys, "validate", path)
+    assert (code, err) == (2, "")
+    violation = {"code": "V006", "severity": "error", "location": "rule 1"}
+    assert json.loads(out)["violations"] == [violation | {"message": "rule endpoints must differ"}]
+    assert invoke(capsys, "validate", path, "--pretty") == (2, line + "\n", "")
+    for command in ("run", "explore", "profile"):
+        code, out, err = invoke(capsys, command, path)
+        assert (code, out, err) == (2, "", f"{path}: {line}\n"), command

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -232,6 +233,21 @@ def test_tissue_symport_from_env_with_bounded_companion_is_fine():
 def test_tissue_equal_endpoints_flagged():
     report = validate_tissue(tissue([TissueSymport(1, ms("a"), 1)]))
     assert EQUAL_ENDPOINTS in codes(report)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="needs Python's limit on integer string conversion",
+)
+def test_a_rule_too_long_to_write_is_located_by_its_number():
+    # Two counts that each print, and their sum that does not.
+    nines = "9" * sys.get_int_max_str_digits()
+    rules = [TissueSymport(1, ms("a"), 1), TissueSymport(1, ms(f"a^{nines} a^{nines}"), 1)]
+    report = validate_tissue(tissue(rules))
+    assert [(v.code, v.location) for v in report.violations] == [
+        (EQUAL_ENDPOINTS, "rule 1 (1, a, 1)"),
+        (EQUAL_ENDPOINTS, "rule 2"),
+    ]
 
 
 def test_tissue_node_range_and_empty_sides():
