@@ -297,13 +297,13 @@ class Engine:
     """Transition function of one system.
 
     Instances are cheap and stateless beyond the rules, the slot layout,
-    the rules' take and give tables over it, the lookups derived from the
-    take tables once (the scan table, the first unbounded rule and each
-    rule's take slots) and, from the first step applied, each rule's net
-    table; all methods are pure functions of the configuration they
-    receive, which draws on the system's unlimited supply. A walk past
-    `explore.COMPILE_AFTER` configurations replaces `_enabled` on the
-    instance by generated code of the same output (`_compile_scan`).
+    the rules' take and give tables over it and the lookups derived from
+    the take tables once (the scan table, the first unbounded rule and each
+    rule's take slots). Nothing is assigned after `__init__`: all methods
+    are pure functions of the configuration they receive, which draws on
+    the system's unlimited supply. A walk makes what it alone needs, each
+    rule's net table and, past `explore.COMPILE_AFTER` configurations,
+    a generated scan, and keeps them to itself.
     """
 
     def __init__(self, sys: PSystem):
@@ -355,8 +355,6 @@ class Engine:
         self._take_slots = [tuple([slot for slot, _ in need]) for need in self._takes]
         # The greedy pass shuffles the scan table; seeded traces pin its draws.
         self._draws = _draws(len(self._scan))
-        # Each rule's (slot, gives less takes) for every slot it changes.
-        self._nets: Optional[list[tuple[tuple[int, int], ...]]] = None
 
     def initial(
         self, input_objects: Multiset = EMPTY, input_region: Optional[int] = None
@@ -408,7 +406,7 @@ class Engine:
     def _enabled(self, pools) -> list[tuple[int, int]]:
         """(rule index, largest standalone multiplicity) of every applicable rule.
 
-        `_compile_scan` may replace this loop on an instance.
+        `_generated_scan` returns a function of the same output.
         """
         # A rule with no tracked take fits any configuration without bound, so
         # the first one in index order is reported before any rule is tested.
@@ -431,19 +429,18 @@ class Engine:
                 out.append((index, bound))
         return out
 
-    def _compile_scan(self) -> None:
-        """Install a straight-line `_enabled` of the same output on this engine.
+    def _generated_scan(self):
+        """A straight-line function of `_enabled`'s output, made afresh.
 
         The generated function has one `if` block per rule and skips
         the division where a take count is 1. Only slot and rule indices,
         ints the engine made, go into the source text; every take count is
         read from a constants tuple, so no count goes through `str()` and no
         object name or label reaches the text. An engine with an unbounded
-        rule keeps the loop, which raises for that rule; an engine already
-        compiled keeps its function.
+        rule gets the loop back, which raises for that rule.
         """
-        if self._unbounded is not None or "_enabled" in vars(self):
-            return
+        if self._unbounded is not None:
+            return self._enabled
         constants: dict[int, int] = {}
         lines = ["def _enabled(p, k=k):", " out = []"]
         # Without an unbounded rule every rule has a scan entry, in index order.
@@ -462,7 +459,7 @@ class Engine:
         lines.append(" return out")
         namespace = {"k": tuple(constants)}
         exec("\n".join(lines), namespace)
-        self._enabled = namespace["_enabled"]
+        return namespace["_enabled"]
 
     def enabled(self, c: Configuration) -> list[tuple[TransferRule, int]]:
         """Rules applicable at least once, with the largest standalone multiplicity."""
@@ -487,14 +484,18 @@ class Engine:
         work limit can only cut a listing in which enabled rules compete
         for an object: without such a pair the one step is found directly.
         """
-        steps, complete = self._listing(self._counts(c)[1], cap)
+        held = self._counts(c)[1]
+        steps, complete = self._listing(held, self._enabled(held), cap)
         return tuple(map(StepChoice, steps)), complete
 
     def _listing(
-        self, held: tuple[int, ...], cap: int
+        self, held: tuple[int, ...], enabled: list[tuple[int, int]], cap: int
     ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], bool]:
-        """`maximal_steps` on a count vector: each step's (rule index, m) pairs."""
-        enabled = self._enabled(held)
+        """`maximal_steps` on a count vector: each step's (rule index, m) pairs.
+
+        `enabled` is `_enabled(held)`, or the generated scan's output: the
+        caller has it already.
+        """
         if not enabled:
             return (), True
         # When no two rules in play take from one slot, a rule below its top
@@ -586,40 +587,33 @@ class Engine:
         """
         layout, counts = self._counts(c)
         applications = choice.applications
-        # The step's takes, summed per slot in order, must fit the old counts.
-        taken: dict[int, int] = {}
+        # All takes come from a copy of the old counts, then all gives.
+        pools = list(counts)
         takes = self._takes
         for index, m in applications:
             for slot, count in takes[index]:
-                taken[slot] = total = taken.get(slot, 0) + m * count
-                if total > counts[slot]:
+                pools[slot] -= m * count
+                if pools[slot] < 0:
                     node, name = layout.slots[slot]
                     raise MultisetUnderflow(
                         f"step {applications} takes more {name} than node {node} holds"
                     )
-        return Configuration._of(layout, self._after(counts, applications))
+        self._give(pools, applications)
+        return Configuration._of(layout, tuple(pools))
 
-    def _after(self, counts: tuple[int, ...], applications) -> tuple[int, ...]:
-        """The counts after `applications`, a step that fits `counts`.
+    def _net_tables(self) -> list[tuple[tuple[int, int], ...]]:
+        """Each rule's (slot, gives less takes) for every slot it changes.
 
-        Adds each rule's net table, gives less takes, so a slot a rule both
-        takes and gives at is touched once; the step's takes are not tested.
+        Adding a step's tables builds its successor, touching a slot a rule
+        both takes and gives at once; the step's takes are not tested.
         """
-        nets = self._nets
-        if nets is None:
-            # Made on the first step: many engines never apply one, and
-            # building the tables up front would cost every engine's set-up.
-            nets = self._nets = []
-            for take, give in zip(self._takes, self._gives):
-                net = dict(give)
-                for slot, count in take:
-                    net[slot] = net.get(slot, 0) - count
-                nets.append(tuple([(slot, delta) for slot, delta in net.items() if delta]))
-        pools = list(counts)
-        for index, m in applications:
-            for slot, delta in nets[index]:
-                pools[slot] += m * delta
-        return tuple(pools)
+        nets = []
+        for take, give in zip(self._takes, self._gives):
+            net = dict(give)
+            for slot, count in take:
+                net[slot] = net.get(slot, 0) - count
+            nets.append(tuple([(slot, delta) for slot, delta in net.items() if delta]))
+        return nets
 
     def _give(self, pools: list[int], applications) -> None:
         """Add the products of `applications` to the pools in place: a step's second phase."""

@@ -33,11 +33,11 @@ DEFAULT_MAX_DEPTH = 64
 DEFAULT_MAX_TOTAL_OBJECTS = 64
 DEFAULT_MAX_BRANCHES = 10_000
 DEFAULT_MAX_CONFIGS = 1_000_000
-# A walk whose memo reaches this many configurations has the engine generate
-# its enabledness scan (`Engine._compile_scan`). Generating costs about 40 µs
-# a rule and saves about 0.03 µs a rule per configuration listed, so the
-# scan pays for itself about a thousand configurations later. Most walks are
-# far shorter and never generate it.
+# A walk whose memo reaches this many configurations scans the rest of its
+# configurations with a generated enabledness scan (`Engine._generated_scan`).
+# Generating costs about 40 µs a rule and saves about 0.03 µs a rule per
+# configuration scanned, so the scan pays for itself about a thousand
+# configurations later. Most walks are far shorter and never generate it.
 COMPILE_AFTER = 1_000
 
 
@@ -107,15 +107,15 @@ def _walk(
 
     `start` is lowered once onto the engine's layout, and every successor
     keeps that one layout, so the memo set and the queue hold bare count
-    tuples: equal tuples are equal contents. The walk lists steps with
-    `Engine._listing`, decides halting past the object budget with
-    `Engine._enabled` and reads results off the output region's slots.
-    Once the memo holds `COMPILE_AFTER` configurations the engine generates
-    its scan, which the listing, the halting test and later walks on that
-    engine then use.
-    It makes a `Configuration` only for the witness and, with `on_edge`,
-    for each expanded configuration and successor, and a `StepChoice`
-    only for `on_edge`.
+    tuples: equal tuples are equal contents. The walk scans each
+    configuration once with `Engine._enabled`, which decides halting, and
+    hands the enabled rules to `Engine._listing`. It adds the engine's net
+    tables, made at its first expansion, to build each successor. Once the
+    memo holds `COMPILE_AFTER` configurations the walk scans with
+    `Engine._generated_scan()` instead; the engine itself never changes.
+    It makes a `Configuration` only for the witness, for each halting
+    leaf's result and, with `on_edge`, for each expanded configuration and
+    successor, and a `StepChoice` only for `on_edge`.
 
     With `stop_at_branching` the walk ends at the first configuration
     admitting more than one maximal step and returns it as the witness,
@@ -126,34 +126,28 @@ def _walk(
     cut_branches = 0
     witness = None
     layout, counts = engine._counts(start)
-    after, listing, enabled = engine._after, engine._listing, engine._enabled
+    listing, enabled, nets = engine._listing, engine._enabled, None
     of = Configuration._of
+    output = engine.output
     max_depth, max_total = budget.max_depth, budget.max_total_objects
     max_branches, max_configs = budget.max_branches, budget.max_configs
-    # The output region's slots. A layout without that region raises at the
-    # first halting leaf, as `Configuration.region_size` does.
-    output = engine.output
-    tally = [i for i, _ in layout.nodes.get(output, ())] if output in layout.labels else None
     visited = {counts}
     queue: deque[tuple[tuple[int, ...], int]] = deque([(counts, 0)])
     while queue:
         counts, depth = queue.popleft()
+        fits = enabled(counts)
+        if not fits:
+            halting_leaves += 1
+            results.add(of(layout, counts).region_size(output))
+            continue
         over = sum(counts) > max_total
-        if over and not stop_at_branching:
-            # Past the object budget only halting counts: skip the listing.
-            halted = not enabled(counts)
-        else:
-            steps, complete = listing(counts, max_branches)
+        # Past the object budget only halting counts, so the listing is
+        # skipped, unless several steps there would make it the witness.
+        if stop_at_branching or not over:
+            steps, complete = listing(counts, fits, max_branches)
             if stop_at_branching and len(steps) > 1:
                 witness = of(layout, counts)
                 break
-            halted = not steps
-        if halted:
-            if tally is None:
-                raise KeyError(output)
-            halting_leaves += 1
-            results.add(sum([counts[i] for i in tally]))
-            continue
         if over:
             cut_branches += 1
             continue
@@ -162,9 +156,15 @@ def _walk(
         if depth >= max_depth:
             cut_branches += 1
             continue
+        if nets is None:
+            nets = engine._net_tables()
         config = None if on_edge is None else of(layout, counts)
         for applications in steps:
-            successor = after(counts, applications)
+            pools = list(counts)
+            for index, m in applications:
+                for slot, delta in nets[index]:
+                    pools[slot] += m * delta
+            successor = tuple(pools)
             if config is not None:
                 on_edge(config, StepChoice(applications), of(layout, successor))
             if successor in visited:
@@ -175,8 +175,7 @@ def _walk(
             visited.add(successor)
             queue.append((successor, depth + 1))
             if len(visited) == COMPILE_AFTER:
-                engine._compile_scan()
-                enabled = engine._enabled
+                enabled = engine._generated_scan()
     outcome = ExploreOutcome(
         results=frozenset(results),
         exhausted=cut_branches == 0,

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import json
 import random
@@ -5,6 +6,7 @@ import re
 import sys
 import time
 import tracemalloc
+import types
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -21,7 +23,13 @@ from psys.engine import (
     trace_to_lines,
 )
 from psys.dsl import parse_system
-from psys.explore import ExploreBudget, ExploreOutcome, explore
+from psys.explore import (
+    ExploreBudget,
+    ExploreOutcome,
+    check_deterministic,
+    decide_accept,
+    explore,
+)
 from psys.model import (
     CellAntiport,
     CellPSystem,
@@ -39,7 +47,7 @@ from psys.multiset import EnvContent, Multiset, MultisetUnderflow, parse_multise
 from psys.rm import compile_machine
 
 from gen import random_cell_system, random_shared_system, random_system
-from machines import verification_suite
+from machines import transfer, verification_suite
 from oracles import (
     apply_oracle,
     enabled_takes,
@@ -49,6 +57,10 @@ from oracles import (
     standalone_bound,
     state_of,
 )
+
+# The modules, not the `psys.explore` function that shadows its module's name.
+engine_module = importlib.import_module("psys.engine")
+explore_module = importlib.import_module("psys.explore")
 
 
 def ms(text):
@@ -90,19 +102,24 @@ def test_enabled_empty_region():
     assert eng.enabled(eng.initial()) == []
 
 
-def test_enabled_rejects_rules_with_no_finite_bound():
+def test_enabled_rejects_rules_with_no_finite_bound(monkeypatch):
     # Hand-built invalid systems: symport-in at the skin over E only, alone
     # and behind an enabled bounded rule, followed by a second unbounded
     # rule. The first unbounded rule in index order is the one reported.
     unbounded = [CellRule(1, SymportIn(ms("a"))), CellRule(1, SymportIn(ms("c")))]
     bounded = CellRule(1, SymportOut(ms("b")))
-    # Forcing the generated scan leaves the loop, which raises, in place.
-    cases = product(((unbounded[:1], "r1"), ([bounded, *unbounded], "r2")), (False, True))
-    for (rules, rid), compiled in cases:
+    # The generated path of such an engine is the loop, which raises; a walk
+    # forced onto it raises at its first scan.
+    monkeypatch.setattr(explore_module, "COMPILE_AFTER", 2)
+    for rules, rid in ((unbounded[:1], "r1"), ([bounded, *unbounded], "r2")):
         eng = Engine(cell(rules, init="b", env=("a", "c")))
-        if compiled:
-            eng._compile_scan()
-        for call in (eng.enabled, eng.maximal_steps, lambda c: explore(eng, start=c)):
+        generated = eng._generated_scan()
+        for call in (
+            eng.enabled,
+            eng.maximal_steps,
+            lambda c: explore(eng, start=c),
+            lambda c: generated(c._counts),
+        ):
             with pytest.raises(UnboundedStepError, match=f"rule {rid} "):
                 call(eng.initial())
 
@@ -149,8 +166,7 @@ def test_enabled_and_steps_agree_with_the_oracle_on_each_scan_branch():
     for (outs, contents), compiled in product(SCAN_BRANCHES, (False, True)):
         sys = cell([CellRule(1, SymportOut(ms(out))) for out in outs], init="empty")
         eng = Engine(sys)
-        if compiled:
-            eng._compile_scan()
+        generated = eng._generated_scan()
         # zz is outside the alphabet: the input gets a slot appended to the layout.
         inputs = [ms(contents), ms(contents + " zz")]
         inputs += [Multiset(rng.choices(names, k=rng.randint(0, 7))) for _ in range(30)]
@@ -159,9 +175,15 @@ def test_enabled_and_steps_agree_with_the_oracle_on_each_scan_branch():
             appended += c._layout is not eng._layout
             regions, env_finite = state_of(sys, c)
             bounds = [standalone_bound(rule, regions, env_finite, ()) for rule in norm_rules(sys)]
-            got = [(rule.index, m) for rule, m in eng.enabled(c)]
+            if compiled:
+                # The generated scan's output, handed to the listing as a walk does.
+                got = generated(c._counts)
+                listed, complete = eng._listing(c._counts, got, 10_000)
+                steps = tuple(map(StepChoice, listed))
+            else:
+                got = [(rule.index, m) for rule, m in eng.enabled(c)]
+                steps, complete = eng.maximal_steps(c)
             assert got == [(i, bound) for i, bound in enumerate(bounds) if bound], (outs, objects)
-            steps, complete = eng.maximal_steps(c)
             expected = maximal_steps_oracle(sys, regions, env_finite)
             assert complete and choice_set(steps) == expected, (outs, objects)
     assert appended >= 2 * len(SCAN_BRANCHES)
@@ -380,6 +402,16 @@ def test_apply_of_a_net_zero_rule_still_takes_first():
     with pytest.raises(MultisetUnderflow) as raised:
         eng.apply(c, StepChoice(((0, 3),)))
     assert str(raised.value) == "step ((0, 3),) takes more a than node 1 holds"
+
+
+def test_apply_names_the_slot_where_two_rules_takes_add_past_its_count():
+    # (a, out) and (a, out; b, in) each fit the one a alone, not together.
+    rules = [CellRule(1, SymportOut(ms("a"))), CellRule(1, CellAntiport(ms("a"), ms("b")))]
+    eng = Engine(cell(rules, init="a", env=("b",)))
+    assert eng.enabled(eng.initial()) == [(eng.rules[0], 1), (eng.rules[1], 1)]
+    with pytest.raises(MultisetUnderflow) as raised:
+        eng.apply(eng.initial(), StepChoice(((0, 1), (1, 1))))
+    assert str(raised.value) == "step ((0, 1), (1, 1)) takes more a than node 1 holds"
 
 
 def test_apply_is_deterministic():
@@ -1028,17 +1060,12 @@ def test_inside_total_sums_the_regions():
 
 # ---------------------------------------------------------------- generated scan
 
-# The modules, not the `psys.explore` function that shadows its module's name.
-engine_module = importlib.import_module("psys.engine")
-explore_module = importlib.import_module("psys.explore")
-
 
 def _scans(eng):
-    """The loop's `_enabled` and, after `_compile_scan`, the generated one."""
-    loop = Engine._enabled.__get__(eng)
-    eng._compile_scan()
-    assert "_enabled" in vars(eng)
-    return loop, eng._enabled
+    """The loop's `_enabled` and the generated scan, a plain function."""
+    generated = eng._generated_scan()
+    assert isinstance(generated, types.FunctionType)
+    return eng._enabled, generated
 
 
 def test_generated_scan_equals_the_loop_on_random_systems():
@@ -1115,20 +1142,62 @@ def test_generated_scan_source_holds_no_object_name_or_label(monkeypatch):
 
 def test_walks_give_equal_outcomes_with_the_scan_generated_or_not(monkeypatch):
     budget = ExploreBudget(max_depth=10_000, max_total_objects=32 * 2 + 2)
+    calls = []
+    generate = Engine._generated_scan
+
+    def spy(eng):
+        calls.append(eng)
+        return generate(eng)
+
+    monkeypatch.setattr(Engine, "_generated_scan", spy)
+    default_after = explore_module.COMPILE_AFTER
     for machine in verification_suite():
         system = compile_machine(machine).system
         monkeypatch.setattr(explore_module, "COMPILE_AFTER", 10**9)
-        plain = Engine(system)
-        loop_outcome = explore(plain, budget)
-        assert "_enabled" not in vars(plain)
-        monkeypatch.undo()
-        forced = Engine(system)
-        forced._compile_scan()
-        assert explore(forced, budget) == loop_outcome, machine
-        # Left to itself a walk generates the scan once its memo is large.
-        default = Engine(system)
-        assert explore(default, budget) == loop_outcome
-        assert ("_enabled" in vars(default)) == (
-            loop_outcome.visited_configs >= explore_module.COMPILE_AFTER
-        )
-    assert loop_outcome.visited_configs >= explore_module.COMPILE_AFTER  # transfer
+        loop_outcome = explore(system, budget)
+        assert calls == []
+        # Forced: the walk generates the scan at its second configuration.
+        monkeypatch.setattr(explore_module, "COMPILE_AFTER", 2)
+        assert explore(system, budget) == loop_outcome, machine
+        assert len(calls) == (loop_outcome.visited_configs >= 2)
+        calls.clear()
+        # Left to itself a walk generates the scan once, when its memo is large.
+        monkeypatch.setattr(explore_module, "COMPILE_AFTER", default_after)
+        assert explore(system, budget) == loop_outcome
+        assert len(calls) == (loop_outcome.visited_configs >= default_after)
+        calls.clear()
+    assert loop_outcome.visited_configs >= default_after  # transfer
+
+
+def test_no_call_changes_the_engine():
+    # A walk keeps its net tables and generated scan to itself, so what a
+    # call computes never depends on what ran on the engine before.
+    eng = Engine(compile_machine(transfer()).system)
+    built = dict(vars(eng))
+    contents = {
+        name: copy.deepcopy(value)
+        for name, value in built.items()
+        if isinstance(value, (list, dict))
+    }
+    budget = ExploreBudget(max_depth=10_000, max_total_objects=32 * 2 + 2)
+    start = eng.initial()
+    (step, *_), _ = eng.maximal_steps(start)
+    calls = {
+        "enabled": lambda: eng.enabled(start),
+        "maximal_steps": lambda: eng.maximal_steps(start),
+        "apply": lambda: eng.apply(start, step),
+        "run enumerate-uniform": lambda: eng.run(3, max_steps=50),
+        "run greedy-random": lambda: eng.run(3, max_steps=50, policy="greedy-random"),
+        "explore": lambda: explore(eng, budget),
+        "decide_accept": lambda: decide_accept(eng, ms("a1^2"), 1, budget),
+        "check_deterministic": lambda: check_deterministic(eng, budget),
+    }
+    for name, call in calls.items():
+        result = call()
+        if name == "explore":
+            assert result.visited_configs >= explore_module.COMPILE_AFTER
+        assert vars(eng).keys() == built.keys(), name
+        for attribute, value in vars(eng).items():
+            assert value is built[attribute], (name, attribute)
+            if attribute in contents:
+                assert value == contents[attribute], (name, attribute)

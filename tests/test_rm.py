@@ -430,10 +430,11 @@ def _halts(m, bound):
 
 def test_verify_generated_machines(monkeypatch):
     # Walks keep the loop scan unless forced, so both scans are compared.
-    monkeypatch.setattr(importlib.import_module("psys.explore"), "COMPILE_AFTER", 10**9)
+    explore_module = importlib.import_module("psys.explore")
     seen = {"ok": 0, "inconclusive": 0, "outside normal form": 0}
     budget = ExploreBudget(max_depth=10_000, max_total_objects=2 * 4 + 2)
     for seed in range(300):
+        monkeypatch.setattr(explore_module, "COMPILE_AFTER", 10**9)
         m = random_machine(random.Random(seed))
         report = verify_compilation(m, value_bound=4)
         normal = all(not any(regs[1:]) for regs in _halts(m, 4))
@@ -446,9 +447,9 @@ def test_verify_generated_machines(monkeypatch):
             assert report.ok or report.inconclusive, (seed, report.messages)
             seen["ok" if report.ok else "inconclusive"] += 1
         system = compile_machine(m).system
-        forced = Engine(system)
-        forced._compile_scan()
-        assert explore(forced, budget) == explore(system, budget), seed
+        loop = explore(system, budget)
+        monkeypatch.setattr(explore_module, "COMPILE_AFTER", 2)
+        assert explore(system, budget) == loop, seed
     assert seen["ok"] >= 250 and min(seen.values()) >= 2, seen
 
 
