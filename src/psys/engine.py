@@ -40,8 +40,9 @@ from .multiset import EMPTY, EnvContent, Multiset, MultisetUnderflow
 class UnboundedStepError(Exception):
     """A rule can apply any number of times at once.
 
-    Only happens on systems that skip validation: every check rejects
-    rules drawing solely on the unlimited environment supply.
+    `Engine()` raises it for a system that skipped validation, naming the
+    first such rule: every check rejects rules drawing solely on the
+    unlimited environment supply.
     """
 
 
@@ -89,12 +90,15 @@ class Configuration:
     Held as a count per slot of a layout; `regions` and `env` build their
     multisets on each access. Equality and hashing go by value, so an
     engine's configuration and `Configuration(regions, env)` of the same
-    contents are equal, hash alike and dedupe in a set.
+    contents are equal, hash alike and dedupe in a set. Label 0 is the
+    environment's node, so no region may carry it.
     """
 
     __slots__ = ("_layout", "_counts")
 
     def __init__(self, regions: Mapping[int, Multiset], env: EnvContent):
+        if 0 in regions:
+            raise ValueError("region label 0 is the environment's node")
         entries = {(label, name): k for label, ms in regions.items() for name, k in ms.items()}
         entries.update(((0, name), k) for name, k in env.finite.items())
         slots = tuple(sorted(entries))
@@ -289,21 +293,20 @@ def _shuffle(items: list, draws: list[tuple[int, int]], rng: random.Random) -> N
 POLICIES = ("enumerate-uniform", "greedy-random")
 
 
-def _unbounded(rule: TransferRule) -> UnboundedStepError:
-    return UnboundedStepError(f"rule {rule.rid} {rule.text} consumes only unlimited objects")
-
-
 class Engine:
     """Transition function of one system.
 
     Instances are cheap and stateless beyond the rules, the slot layout,
     the rules' take and give tables over it and the lookups derived from
-    the take tables once (the scan table, the first unbounded rule and each
-    rule's take slots). Nothing is assigned after `__init__`: all methods
-    are pure functions of the configuration they receive, which draws on
-    the system's unlimited supply. A walk makes what it alone needs, each
-    rule's net table and, past `explore.COMPILE_AFTER` configurations,
-    a generated scan, and keeps them to itself.
+    the take tables once (the scan table and each rule's take slots).
+    Nothing is assigned after `__init__`: all methods are pure functions
+    of the configuration they receive, which draws on the system's
+    unlimited supply. A walk makes what it alone needs, each rule's net
+    table and, past `explore.COMPILE_AFTER` configurations, a generated
+    scan, and keeps them to itself.
+
+    Raises UnboundedStepError for the first rule, in index order, that
+    takes no tracked object: no configuration bounds how often it applies.
     """
 
     def __init__(self, sys: PSystem):
@@ -344,13 +347,15 @@ class Engine:
             [tuple(sorted([(index[pair], k) for pair, k in table.items()])) for table in tables]
             for tables in (takes, gives)
         )
+        for rule, need in zip(rules, self._takes):
+            if not need:
+                raise UnboundedStepError(
+                    f"rule {rule.rid} {rule.text} consumes only unlimited objects"
+                )
         self._start = tuple([start.get(pair, 0) for pair in slots])
-        # `_enabled` and the greedy pass scan (index, first slot, first
-        # count, other takes) for every rule with a tracked take. A rule
-        # without one is unbounded, and the first such rule is reported
-        # whatever the configuration.
-        self._scan = [(i, *need[0], need[1:]) for i, need in enumerate(self._takes) if need]
-        self._unbounded = next((i for i, need in enumerate(self._takes) if not need), None)
+        # `_enabled`, the generated scan, the greedy pass and the listing read
+        # (index, first slot, first count, other takes), one entry per rule.
+        self._scan = [(i, *need[0], need[1:]) for i, need in enumerate(self._takes)]
         # Each rule's take slots, for `_listing`'s contention test.
         self._take_slots = [tuple([slot for slot, _ in need]) for need in self._takes]
         # The greedy pass shuffles the scan table; seeded traces pin its draws.
@@ -408,10 +413,6 @@ class Engine:
 
         `_generated_scan` returns a function of the same output.
         """
-        # A rule with no tracked take fits any configuration without bound, so
-        # the first one in index order is reported before any rule is tested.
-        if self._unbounded is not None:
-            raise _unbounded(self.rules[self._unbounded])
         out = []
         for index, slot, count, rest in self._scan:
             # Most rules fail on their first object.
@@ -436,17 +437,14 @@ class Engine:
         the division where a take count is 1. Only slot and rule indices,
         ints the engine made, go into the source text; every take count is
         read from a constants tuple, so no count goes through `str()` and no
-        object name or label reaches the text. An engine with an unbounded
-        rule gets the loop back, which raises for that rule.
+        object name or label reaches the text. It reads the scan table
+        the loop reads, one entry per rule.
         """
-        if self._unbounded is not None:
-            return self._enabled
         constants: dict[int, int] = {}
         lines = ["def _enabled(p, k=k):", " out = []"]
-        # Without an unbounded rule every rule has a scan entry, in index order.
-        for index, need in enumerate(self._takes):
+        for index, *first, rest in self._scan:
             tests, steps = [], []
-            for j, (slot, count) in enumerate(need):
+            for j, (slot, count) in enumerate([first, *rest]):
                 if count == 1:
                     tests.append(f"(t{j} := p[{slot}])")
                 else:
@@ -515,8 +513,7 @@ class Engine:
             return ((tuple(enabled),), True) if cap >= 1 else ((), False)
         indices = [index for index, _ in enabled]
         needs = [self._takes[index] for index in indices]
-        # `_enabled` raised if a rule took no tracked object, so every rule
-        # in play has a scan entry: (first slot, first count, other takes).
+        # Each rule's (first slot, first count, other takes).
         rows = [self._scan[index][1:] for index in indices]
         last = len(needs) - 1
         pools = list(held)
@@ -693,11 +690,8 @@ class Engine:
         (index, m) pairs in index order and the residual pools: each grant
         lands in a per-rule slot, read back in index order without a sort.
         Availability only shrinks as rules are granted, so one pass leaves
-        nothing extendable. A system with an unbounded rule raises for the
-        first one, as `_enabled` does, before any draw.
+        nothing extendable.
         """
-        if self._unbounded is not None:
-            raise _unbounded(self.rules[self._unbounded])
         order = self._scan[:]
         _shuffle(order, self._draws, rng)
         pools = list(counts)

@@ -13,6 +13,7 @@ raise on bad systems.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Union
 
@@ -223,8 +224,9 @@ class _System:
 
     Each kind is a dataclass whose second field (a membrane structure or
     a cell count) says where its regions are. Cell and tissue systems
-    supply `_rule_key` for `__eq__`; interaction systems keep the
-    dataclass's own equality.
+    compare their rules as a multiset of values, in any order, and supply
+    `_rule_key`, the order `print_system` writes them in; interaction
+    systems keep the dataclass's own equality.
     """
 
     def __post_init__(self):
@@ -237,18 +239,18 @@ class _System:
         return self.init.get(label, EMPTY)
 
     def __eq__(self, other: object) -> bool:
-        # Rule order carries no meaning: rules compare as a multiset of `_rule_key`s.
+        # Rule order carries no meaning. Rules are hashable values, so no
+        # rule's text is written, which a count past the digit limit refuses.
         if not isinstance(other, type(self)):
             return NotImplemented
         regions = fields(self)[1].name
-        key = self._rule_key
         return (
             self.alphabet == other.alphabet
             and getattr(self, regions) == getattr(other, regions)
             and self.init == other.init
             and self.env_support == other.env_support
             and self.output == other.output
-            and sorted(self.rules, key=key) == sorted(other.rules, key=key)
+            and Counter(self.rules) == Counter(other.rules)
         )
 
 

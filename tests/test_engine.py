@@ -34,12 +34,14 @@ from psys.model import (
     CellAntiport,
     CellPSystem,
     CellRule,
+    InteractionSystem,
     MembraneStructure,
     SymportIn,
     SymportOut,
     TissueAntiport,
     TissueSymport,
     TissuePSystem,
+    UniportRule,
     encode_cell_as_tissue,
     validate,
 )
@@ -102,44 +104,38 @@ def test_enabled_empty_region():
     assert eng.enabled(eng.initial()) == []
 
 
-def test_enabled_rejects_rules_with_no_finite_bound(monkeypatch):
-    # Hand-built invalid systems: symport-in at the skin over E only, alone
-    # and behind an enabled bounded rule, followed by a second unbounded
-    # rule. The first unbounded rule in index order is the one reported.
+def test_engine_refuses_the_first_rule_with_no_finite_bound():
+    # Hand-built invalid systems with a rule that draws only on the unlimited
+    # supply: symport-in at the skin over E, alone and behind a bounded rule
+    # ahead of a second such rule; a tissue symport out of node 0; a uniport
+    # out of node 0. `Engine()` names the first such rule in index order, and
+    # so does every walk that builds its engine.
     unbounded = [CellRule(1, SymportIn(ms("a"))), CellRule(1, SymportIn(ms("c")))]
     bounded = CellRule(1, SymportOut(ms("b")))
-    # The generated path of such an engine is the loop, which raises; a walk
-    # forced onto it raises at its first scan.
-    monkeypatch.setattr(explore_module, "COMPILE_AFTER", 2)
-    for rules, rid in ((unbounded[:1], "r1"), ([bounded, *unbounded], "r2")):
-        eng = Engine(cell(rules, init="b", env=("a", "c")))
-        generated = eng._generated_scan()
-        for call in (
-            eng.enabled,
-            eng.maximal_steps,
-            lambda c: explore(eng, start=c),
-            lambda c: generated(c._counts),
-        ):
-            with pytest.raises(UnboundedStepError, match=f"rule {rid} "):
-                call(eng.initial())
+    cases = [
+        (cell(unbounded[:1], init="b", env=("a", "c")), "r1 (a, in) @ 1"),
+        (cell([bounded, *unbounded], init="b", env=("a", "c")), "r2 (a, in) @ 1"),
+        (
+            TissuePSystem("ab", 1, {1: ms("b")}, "a", [TissueSymport(0, ms("a"), 1)], 1),
+            "r1 (0, a, 1)",
+        ),
+        (
+            InteractionSystem("ab", 1, {1: ms("b")}, "a", [UniportRule("a", 0, 1)], 1),
+            "r1 (a,0) -> (a,1)",
+        ),
+    ]
+    walks = (explore, check_deterministic, lambda sys: decide_accept(sys, ms("b"), 1))
+    for sys, rule in cases:
+        for call in (Engine, *walks):
+            with pytest.raises(UnboundedStepError) as raised:
+                call(sys)
+            assert str(raised.value) == f"rule {rule} consumes only unlimited objects"
 
 
-def test_greedy_step_rejects_rules_with_no_finite_bound():
-    # The systems above: the greedy pass names the first unbounded rule by
-    # index, as `enabled` does, whatever order the shuffle would draw.
-    unbounded = [CellRule(1, SymportIn(ms("a"))), CellRule(1, SymportIn(ms("c")))]
-    bounded = CellRule(1, SymportOut(ms("b")))
-    for rules, rid, seeds in (
-        (unbounded[:1], "r1", 4),
-        ([bounded, *unbounded[:1]], "r2", 4),
-        ([bounded, *unbounded], "r2", 20),
-    ):
-        eng = Engine(cell(rules, init="b", env=("a", "c")))
-        for seed in range(seeds):
-            with pytest.raises(UnboundedStepError, match=f"rule {rid} "):
-                eng._greedy_pass(eng.initial()._counts, random.Random(seed))
-            with pytest.raises(UnboundedStepError, match=f"rule {rid} "):
-                eng.run(seed, policy="greedy-random")
+def test_configuration_refuses_a_region_labelled_0():
+    # Node 0 is the environment's: its remainder would overwrite the region.
+    with pytest.raises(ValueError, match="region label 0 "):
+        Configuration({0: ms("a^2"), 1: ms("b")}, EnvContent((), ms("a^5")))
 
 
 # ---------------------------------------------------------------- maximal steps

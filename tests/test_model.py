@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -454,6 +455,24 @@ def test_system_equality_ignores_rule_order():
     assert nested != one_membrane([r1])
     assert tissue([t1], n=2) != tissue([t1])
     assert one_membrane([r1]) != encode_cell_as_tissue(one_membrane([r1]))
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="needs Python's limit on integer string conversion",
+)
+def test_system_equality_holds_for_rules_too_long_to_write():
+    # Two counts that each print, and their sum that does not: equality
+    # compares the rules as values and writes none of them.
+    nines = "9" * sys.get_int_max_str_digits()
+    text = (
+        "@model cell\n@objects a b\n@env\n@membranes 1\n@init 1: a\n"
+        f"@rules 1: (a^{nines} a^{nines}, out; b, in)\n@rules 1: (a, out)\n@output 1\n"
+    )
+    (first, diagnostics), (second, _) = parse_system(text), parse_system(text)
+    assert diagnostics == []
+    assert first == second
+    assert first != replace(second, rules=second.rules[:1] * 2)
 
 
 def test_init_drops_empty_entries():
