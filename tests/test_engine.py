@@ -104,12 +104,12 @@ def test_enabled_empty_region():
     assert eng.enabled(eng.initial()) == []
 
 
-def test_engine_refuses_the_first_rule_with_no_finite_bound():
+def test_enabled_rejects_rules_with_no_finite_bound():
     # Hand-built invalid systems with a rule that draws only on the unlimited
     # supply: symport-in at the skin over E, alone and behind a bounded rule
     # ahead of a second such rule; a tissue symport out of node 0; a uniport
-    # out of node 0. `Engine()` names the first such rule in index order, and
-    # so does every walk that builds its engine.
+    # out of node 0. No scan is reached: `Engine()` names the first such rule
+    # in index order, and so does every walk that builds its engine.
     unbounded = [CellRule(1, SymportIn(ms("a"))), CellRule(1, SymportIn(ms("c")))]
     bounded = CellRule(1, SymportOut(ms("b")))
     cases = [
@@ -130,6 +130,24 @@ def test_engine_refuses_the_first_rule_with_no_finite_bound():
             with pytest.raises(UnboundedStepError) as raised:
                 call(sys)
             assert str(raised.value) == f"rule {rule} consumes only unlimited objects"
+
+
+def test_greedy_step_rejects_rules_with_no_finite_bound():
+    # No greedy pass is reached either, so no shuffle decides which rule is
+    # reported: whatever order the rules are listed in, `Engine()` names the
+    # first unbounded one by index.
+    rules = [
+        CellRule(1, SymportOut(ms("b"))),
+        CellRule(1, SymportIn(ms("a"))),
+        CellRule(1, SymportIn(ms("c"))),
+        CellRule(1, SymportOut(ms("b^2"))),
+    ]
+    for seed in range(20):
+        order = rules[:]
+        random.Random(seed).shuffle(order)
+        first = next(i for i, r in enumerate(order, 1) if isinstance(r.form, SymportIn))
+        with pytest.raises(UnboundedStepError, match=f"^rule r{first} "):
+            Engine(cell(order, init="b", env=("a", "c")))
 
 
 def test_configuration_refuses_a_region_labelled_0():
