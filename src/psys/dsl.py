@@ -466,11 +466,13 @@ def print_system(sys: Union[CellPSystem, TissuePSystem]) -> str:
         lines.append(f"@cells {sys.n_cells}")
     for label in sorted(sys.init):
         lines.append(f"@init {label}: {format_multiset(sys.init[label])}")
-    for rule in sorted(sys.rules, key=sys._rule_key):
-        if is_cell:
-            lines.append(f"@rules {rule.region}: {cell_rule_text(rule)}")
-        else:
-            lines.append(f"@rules: {tissue_rule_text(rule)}")
+    # Rules in (region, text) or (src, dst, text) order; each text is written once.
+    if is_cell:
+        rules = sorted((rule.region, cell_rule_text(rule)) for rule in sys.rules)
+        lines += [f"@rules {region}: {text}" for region, text in rules]
+    else:
+        rules = sorted((rule.src, rule.dst, tissue_rule_text(rule)) for rule in sys.rules)
+        lines += [f"@rules: {text}" for *_, text in rules]
     lines.append(f"@output {sys.output}")
     return "\n".join(lines) + "\n"
 

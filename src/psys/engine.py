@@ -17,23 +17,9 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import add, itemgetter
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .model import (
-    CellAntiport,
-    CellPSystem,
-    CellRule,
-    InteractionRule,
-    PSystem,
-    TissueAntiport,
-    TissuePSystem,
-    TissueRule,
-    UniportRule,
-    cell_channel,
-    cell_rule_text,
-    interaction_rule_text,
-    tissue_rule_text,
-)
+from .model import CellPSystem, PSystem, Rule, rule_location, rule_moves, rule_text
 from .multiset import EMPTY, EnvContent, Multiset, MultisetUnderflow
 
 
@@ -184,22 +170,18 @@ _set_layout, _set_counts = (
 class TransferRule:
     """One rule of a system: its position, positional id (r1, r2, ...) and source.
 
-    `text` is made when read, never up front: a valid rule may hold a count
-    with more digits than Python converts to text.
+    `text` is `model.rule_text` of the source, made when read, never up
+    front: a valid rule may hold a count with more digits than Python
+    converts to text.
     """
 
     index: int
     rid: str
-    source: Union[CellRule, TissueRule, InteractionRule, UniportRule]
+    source: Rule
 
     @property
     def text(self) -> str:
-        rule = self.source
-        if isinstance(rule, CellRule):
-            return f"{cell_rule_text(rule)} @ {rule.region}"
-        if isinstance(rule, (InteractionRule, UniportRule)):
-            return interaction_rule_text(rule)
-        return tissue_rule_text(rule)
+        return rule_text(self.source)
 
 
 @dataclass(frozen=True)
@@ -241,26 +223,6 @@ class Trace:
         yield self.initial
         for step in self.steps:
             yield step.after
-
-
-def _moves(sys: PSystem, rule) -> list[tuple[int, Multiset, int]]:
-    """The (src, objects, dst) moves one rule makes."""
-    if isinstance(sys, CellPSystem):
-        src, dst = cell_channel(sys.structure, rule)
-        form = rule.form
-    elif isinstance(sys, TissuePSystem):
-        src, dst, form = rule.src, rule.dst, rule
-    elif isinstance(rule, UniportRule):
-        return [(rule.src, Multiset([rule.obj]), rule.dst)]
-    else:
-        return [
-            (rule.src_a, Multiset([rule.obj_a]), rule.dst_a),
-            (rule.src_b, Multiset([rule.obj_b]), rule.dst_b),
-        ]
-    # A symport or antiport, cell form or tissue rule, across src -> dst.
-    if isinstance(form, (CellAntiport, TissueAntiport)):
-        return [(src, form.outbound, dst), (dst, form.inbound, src)]
-    return [(src, form.objects, dst)]
 
 
 # Resource accounting works on residual pools: a list of counts, one per
@@ -305,8 +267,11 @@ class Engine:
     table and, past `explore.COMPILE_AFTER` configurations, a generated
     scan, and keeps them to itself.
 
-    Raises UnboundedStepError for the first rule, in index order, that
-    takes no tracked object: no configuration bounds how often it applies.
+    Each rule lowers from its `model.rule_moves`, so the engine reads no
+    rule form itself. Raises UnboundedStepError for the first rule, in
+    index order, that takes no tracked object: no configuration bounds
+    how often it applies. The message names it by id alone when its text
+    holds a count that `str()` will not write.
     """
 
     def __init__(self, sys: PSystem):
@@ -328,7 +293,7 @@ class Engine:
         pairs = set(start)
         for pos, rule in enumerate(sys.rules):
             take, give = {}, {}
-            for src, objects, dst in _moves(sys, rule):
+            for src, objects, dst in rule_moves(sys, rule):
                 for name, count in objects.items():
                     if src or name not in unlimited:
                         take[src, name] = take.get((src, name), 0) + count
@@ -349,9 +314,8 @@ class Engine:
         )
         for rule, need in zip(rules, self._takes):
             if not need:
-                raise UnboundedStepError(
-                    f"rule {rule.rid} {rule.text} consumes only unlimited objects"
-                )
+                where = rule_location(f"rule {rule.rid}", rule_text, rule.source)
+                raise UnboundedStepError(f"{where} consumes only unlimited objects")
         self._start = tuple([start.get(pair, 0) for pair in slots])
         # `_enabled`, the generated scan, the greedy pass and the listing read
         # (index, first slot, first count, other takes), one entry per rule.
@@ -467,9 +431,14 @@ class Engine:
         return not self.enabled(c)
 
     def result(self, c: Configuration) -> int:
-        if not self.is_halted(c):
+        """Objects in the output region of halted `c`, read on this engine's layout.
+
+        So a configuration that leaves out an empty output region reads 0.
+        """
+        layout, counts = self._counts(c)
+        if self._enabled(counts):
             raise ValueError("result is only defined for halted configurations")
-        return c.region_size(self.output)
+        return Configuration._of(layout, counts).region_size(self.output)
 
     def maximal_steps(
         self, c: Configuration, cap: int = 10_000
@@ -798,5 +767,5 @@ def trace_to_lines(engine: Engine, trace: Trace) -> Iterator[str]:
         choice = ", ".join([choices[i][n] for i, n in step.choice.applications])
         note = f', "note": {json.dumps(step.note)}' if step.note else ""
         yield f'{{"step": {t}, "choice": [{choice}], {snapshot(c)}{note}}}'
-    result = f', "result": {c.region_size(engine.output)}' if trace.halted else ""
+    result = f', "result": {engine.result(c)}' if trace.halted else ""
     yield f'{{"halted": {json.dumps(trace.halted)}, "steps": {t}{result}}}'

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .multiset import EMPTY, Multiset, format_multiset, is_valid_name
 
@@ -223,10 +223,9 @@ class _System:
     """What every system kind shares: normalized fields, initial contents, equality.
 
     Each kind is a dataclass whose second field (a membrane structure or
-    a cell count) says where its regions are. Cell and tissue systems
-    compare their rules as a multiset of values, in any order, and supply
-    `_rule_key`, the order `print_system` writes them in; interaction
-    systems keep the dataclass's own equality.
+    a cell count) says where its regions are. Every kind compares its
+    rules as a multiset of values, in any order, and never equals a
+    system of another kind.
     """
 
     def __post_init__(self):
@@ -263,10 +262,6 @@ class CellPSystem(_System):
     rules: tuple[CellRule, ...]
     output: int
 
-    @staticmethod
-    def _rule_key(rule: CellRule) -> tuple:
-        return (rule.region, cell_rule_text(rule))
-
 
 @dataclass(eq=False)
 class TissuePSystem(_System):
@@ -277,12 +272,8 @@ class TissuePSystem(_System):
     rules: tuple[TissueRule, ...]
     output: int
 
-    @staticmethod
-    def _rule_key(rule: TissueRule) -> tuple:
-        return (rule.src, rule.dst, tissue_rule_text(rule))
 
-
-@dataclass
+@dataclass(eq=False)
 class InteractionSystem(_System):
     """Tissue-style system whose rules are interaction and uniport rules."""
 
@@ -295,6 +286,7 @@ class InteractionSystem(_System):
 
 
 PSystem = Union[CellPSystem, TissuePSystem, InteractionSystem]
+Rule = Union[CellRule, TissueRule, InteractionRule, UniportRule]
 
 
 def cell_rule_text(rule: CellRule) -> str:
@@ -322,6 +314,24 @@ def interaction_rule_text(rule: Union[InteractionRule, UniportRule]) -> str:
         f"({rule.obj_a},{rule.src_a})({rule.obj_b},{rule.src_b})"
         f" -> ({rule.obj_a},{rule.dst_a})({rule.obj_b},{rule.dst_b})"
     )
+
+
+def rule_text(rule: Rule) -> str:
+    """A rule of any kind as text; a cell rule's ends with ` @ <region>`."""
+    if isinstance(rule, CellRule):
+        return f"{cell_rule_text(rule)} @ {rule.region}"
+    if isinstance(rule, (InteractionRule, UniportRule)):
+        return interaction_rule_text(rule)
+    return tissue_rule_text(rule)
+
+
+def rule_location(head: str, text: Callable[[Rule], str], rule: Rule) -> str:
+    """`"<head> <text(rule)>"`, or `head` alone when the rule holds a count
+    with more digits than `str()` will write."""
+    try:
+        return f"{head} {text(rule)}"
+    except ValueError:
+        return head
 
 
 def _check_objects(ms: Multiset, alphabet: frozenset[str], where: str, out: list[Violation]):
@@ -359,15 +369,14 @@ def _check_move(form, src: Optional[int], sys, where: str, out: list[Violation])
         out.append(Violation(code, where, message))
 
 
-def _validate(sys, shape, regions, output, check_rule, rule_text) -> ValidationReport:
+def _validate(sys, shape, regions, output, check_rule, text) -> ValidationReport:
     """Every kind's checks in one order: names, shape, init, rules, output.
 
     `shape` and `output` are the violations of the region layout and of
     the output label, `regions` the labels init may name, and
     check_rule(rule, out) reports one rule's violations with an empty
-    location. The location, "rule <n> <rule_text(rule)>", is only made
-    for a rule with a violation: most rules have none. It is "rule <n>"
-    when the rule holds a count that `str()` will not write.
+    location. The location, `rule_location("rule <n>", text, rule)`, is
+    only made for a rule with a violation: most rules have none.
     """
     out = [
         Violation(BAD_OBJECT_NAME, "alphabet", f"invalid object name {name!r}")
@@ -389,10 +398,7 @@ def _validate(sys, shape, regions, output, check_rule, rule_text) -> ValidationR
         found = len(out)
         check_rule(rule, out)
         if len(out) > found:
-            try:
-                where = f"rule {idx + 1} {rule_text(rule)}"
-            except ValueError:  # a count too long for str() to write
-                where = f"rule {idx + 1}"
+            where = rule_location(f"rule {idx + 1}", text, rule)
             out[found:] = [replace(v, location=where) for v in out[found:]]
     out.extend(output)
     return ValidationReport(tuple(out))
@@ -415,7 +421,7 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
             src = cell_channel(sys.structure, rule)[0] if tree_ok else None
             _check_move(rule.form, src, sys, "", out)
 
-    def rule_text(rule):
+    def text(rule):
         return f"at region {rule.region}"
 
     output = ()
@@ -425,10 +431,10 @@ def validate_cell(sys: CellPSystem) -> ValidationReport:
         message = f"membrane {sys.output} contains other membranes"
         output = [Violation(OUTPUT_NOT_ELEMENTARY, "output", message)]
     shape = [Violation(BAD_STRUCTURE, "structure", problem) for problem in problems]
-    return _validate(sys, shape, labels, output, check_rule, rule_text)
+    return _validate(sys, shape, labels, output, check_rule, text)
 
 
-def _validate_cells(sys, check_rule, rule_text) -> ValidationReport:
+def _validate_cells(sys, check_rule) -> ValidationReport:
     """The skeleton for tissue and interaction systems: cells 1..n_cells."""
     cells = range(1, sys.n_cells + 1)
     shape = output = ()
@@ -454,15 +460,13 @@ def validate_tissue(sys: TissuePSystem) -> ValidationReport:
             out.append(Violation(EQUAL_ENDPOINTS, "", "rule endpoints must differ"))
         _check_move(rule, rule.src, sys, "", out)
 
-    return _validate_cells(sys, check_rule, tissue_rule_text)
+    return _validate_cells(sys, check_rule)
 
 
 def validate_interaction(sys: InteractionSystem) -> ValidationReport:
     def check_rule(rule, out):
-        if isinstance(rule, UniportRule):
-            moves = [(rule.obj, rule.src, rule.dst)]
-        else:
-            moves = [(rule.obj_a, rule.src_a, rule.dst_a), (rule.obj_b, rule.src_b, rule.dst_b)]
+        # One object per move: (name, src, dst).
+        moves = [(*objects.support(), src, dst) for src, objects, dst in rule_moves(sys, rule)]
         objects, sources, targets = zip(*moves)
         _check_nodes(sys, sources + targets, "", out)
         for name in objects:
@@ -477,7 +481,7 @@ def validate_interaction(sys: InteractionSystem) -> ValidationReport:
         if sources == targets:
             out.append(Violation(INERT_RULE, "", "rule moves nothing", severity="warning"))
 
-    return _validate_cells(sys, check_rule, interaction_rule_text)
+    return _validate_cells(sys, check_rule)
 
 
 def validate(sys: PSystem) -> ValidationReport:
@@ -488,18 +492,36 @@ def validate(sys: PSystem) -> ValidationReport:
     return validate_interaction(sys)
 
 
-def derive_graph(sys: TissuePSystem) -> frozenset[tuple[int, int]]:
+def derive_graph(sys: PSystem) -> frozenset[tuple[int, int]]:
     """Directed communication edges induced by the rule set.
 
-    A symport yields one edge src->dst; an antiport yields both
-    directions between its endpoints.
+    The (src, dst) pair of every move in `rule_moves`: a symport yields
+    one edge src->dst, and an antiport both directions between its
+    endpoints.
     """
-    edges = set()
-    for rule in sys.rules:
-        edges.add((rule.src, rule.dst))
-        if isinstance(rule, TissueAntiport):
-            edges.add((rule.dst, rule.src))
-    return frozenset(edges)
+    return frozenset(
+        (src, dst) for rule in sys.rules for src, _, dst in rule_moves(sys, rule)
+    )
+
+
+def rule_moves(sys: PSystem, rule: Rule) -> list[tuple[int, Multiset, int]]:
+    """The (src, objects, dst) moves one rule of `sys` makes; the engine lowers them."""
+    if isinstance(sys, CellPSystem):
+        src, dst = cell_channel(sys.structure, rule)
+        form = rule.form
+    elif isinstance(sys, TissuePSystem):
+        src, dst, form = rule.src, rule.dst, rule
+    elif isinstance(rule, UniportRule):
+        return [(rule.src, Multiset([rule.obj]), rule.dst)]
+    else:
+        return [
+            (rule.src_a, Multiset([rule.obj_a]), rule.dst_a),
+            (rule.src_b, Multiset([rule.obj_b]), rule.dst_b),
+        ]
+    # A symport or antiport, cell form or tissue rule, across src -> dst.
+    if isinstance(form, (CellAntiport, TissueAntiport)):
+        return [(src, form.outbound, dst), (dst, form.inbound, src)]
+    return [(src, form.objects, dst)]
 
 
 def cell_channel(structure: MembraneStructure, rule: CellRule) -> tuple[int, int]:

@@ -17,6 +17,7 @@ from psys.engine import (
     Configuration,
     Engine,
     StepChoice,
+    Trace,
     UnboundedStepError,
     _draws,
     _shuffle,
@@ -124,11 +125,19 @@ def test_enabled_rejects_rules_with_no_finite_bound():
             "r1 (a,0) -> (a,1)",
         ),
     ]
+    # A count one digit longer than `str()` writes: the rule is named by id.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        huge = Multiset({"a": 10**limit})
+        cases += [
+            (cell([CellRule(1, SymportIn(huge))], init="b", env=("a",)), "r1"),
+            (TissuePSystem("ab", 1, {1: ms("b")}, "a", [TissueSymport(0, huge, 1)], 1), "r1"),
+        ]
     walks = (explore, check_deterministic, lambda sys: decide_accept(sys, ms("b"), 1))
-    for sys, rule in cases:
+    for system, rule in cases:
         for call in (Engine, *walks):
             with pytest.raises(UnboundedStepError) as raised:
-                call(sys)
+                call(system)
             assert str(raised.value) == f"rule {rule} consumes only unlimited objects"
 
 
@@ -486,6 +495,22 @@ def test_result_counts_output_region():
     assert eng.result(eng.initial()) == 3
     empty = Engine(cell([], init="empty"))
     assert empty.result(empty.initial()) == 0
+
+
+def test_result_reads_an_output_region_the_configuration_leaves_out():
+    # `Configuration(regions, env)` need not list an empty region; the engine
+    # reads the output from the counts lowered onto its own layout, as the
+    # walk does.
+    sys = cell(
+        [CellRule(1, SymportOut(ms("a")))],
+        init="b", alphabet=("a", "b"), env=("b",), n=2, parent={2: 1}, output=2,
+    )
+    eng = Engine(sys)
+    c = Configuration({1: ms("b")}, EnvContent({"b"}, ms("a")))
+    assert eng.result(c) == 0
+    assert explore(eng, start=c).results == frozenset({0})
+    lines = list(trace_to_lines(eng, Trace(c, halted=True)))
+    assert lines[-1] == '{"halted": true, "steps": 0, "result": 0}'
 
 
 def test_result_requires_halting():

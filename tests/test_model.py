@@ -455,6 +455,17 @@ def test_system_equality_ignores_rule_order():
     assert nested != one_membrane([r1])
     assert tissue([t1], n=2) != tissue([t1])
     assert one_membrane([r1]) != encode_cell_as_tissue(one_membrane([r1]))
+    # Interaction systems compare the same way: order is free, multiplicity
+    # is not, and a tissue system with the same fields is another kind.
+    i1, i2 = UniportRule("a", 1, 0), InteractionRule("a", 1, "e", 0, 0, 1)
+
+    def interaction(rules, kind=InteractionSystem):
+        return kind(("a", "e"), 1, {1: ms("a")}, ("e",), rules, 1)
+
+    assert interaction([i1, i2]) == interaction([i2, i1])
+    assert interaction([i1, i1, i2]) != interaction([i1, i2, i2])
+    assert interaction([i1, i2]) != interaction([i1, i2], TissuePSystem)
+    assert interaction([i1, i2], TissuePSystem) != interaction([i1, i2])
 
 
 @pytest.mark.skipif(
