@@ -17,12 +17,9 @@ from .explore import (
     DeterminismVerdict,
     ExploreBudget,
     ExploreOutcome,
-    HarnessReport,
     check_deterministic,
     decide_accept,
     explore,
-    harness_deterministic_minimal,
-    harness_monotone_minimal,
 )
 from .dsl import (
     SourceDiagnostic,
@@ -105,7 +102,6 @@ __all__ = [
     "ExploreBudget",
     "ExploreOutcome",
     "Halt",
-    "HarnessReport",
     "InteractionRule",
     "InteractionSystem",
     "MembraneStructure",
@@ -136,8 +132,6 @@ __all__ = [
     "encode_cell_as_tissue",
     "explore",
     "format_multiset",
-    "harness_deterministic_minimal",
-    "harness_monotone_minimal",
     "machine_problems",
     "parse_interactions",
     "parse_machine",

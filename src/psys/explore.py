@@ -12,21 +12,11 @@ set. Any budget hit is reported, never silently absorbed.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .engine import Configuration, Engine, StepChoice
-from .model import (
-    CellAntiport,
-    CellPSystem,
-    CellRule,
-    MembraneStructure,
-    SymportIn,
-    SymportOut,
-    validate_cell,
-)
 from .multiset import Multiset
 
 DEFAULT_MAX_DEPTH = 64
@@ -89,8 +79,8 @@ def explore(
 ) -> ExploreOutcome:
     """Collect the results of all halting computations within budgets.
 
-    `on_edge` is an instrumentation hook for property harnesses; it sees
-    every generated (configuration, step, successor) edge once.
+    `on_edge`, if given, sees every generated (configuration, step,
+    successor) edge once, edges into visited successors included.
     """
     engine = _engine(sys)
     return _walk(engine, engine.initial() if start is None else start, budget, on_edge)[0]
@@ -220,151 +210,9 @@ def check_deterministic(
     it visits exactly the configurations of the single computation.
     """
     engine = _engine(sys)
-    return _verdict(*_walk(engine, engine.initial(), budget, stop_at_branching=True))
-
-
-def _verdict(outcome: ExploreOutcome, witness: Optional[Configuration]) -> DeterminismVerdict:
+    outcome, witness = _walk(engine, engine.initial(), budget, stop_at_branching=True)
     if witness is not None:
         return DeterminismVerdict("nondeterministic", witness)
     if outcome.exhausted:
         return DeterminismVerdict("deterministic_up_to_budget")
     return DeterminismVerdict("unknown")
-
-
-@dataclass(frozen=True)
-class HarnessReport:
-    checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _random_shrinking_minimal_system(rng: random.Random) -> CellPSystem:
-    """One-membrane system whose rules provably cannot grow the inside count.
-
-    Rule forms: symport-out of one or two objects, and one-for-one
-    antiport. An antiport (a, out; b, in) is only emitted when a is in
-    the unlimited supply or b is not: otherwise each firing adds a to
-    the tracked environment remainder while drawing b from the unlimited
-    pool, growing the tracked total without bound.
-
-    Symport-in is deliberately absent: a rule (x, in) at the skin can
-    re-import objects previously sent out, raising the inside count
-    mid-run even in systems the validator accepts.
-    """
-    alphabet = [f"o{i}" for i in range(rng.randint(1, 4))]
-    env = frozenset(name for name in alphabet if rng.random() < 0.4)
-    rules = []
-    for _ in range(rng.randint(0, 5)):
-        if rng.random() < 0.5:
-            objects = Multiset(rng.choices(alphabet, k=rng.randint(1, 2)))
-            rules.append(CellRule(1, SymportOut(objects)))
-        else:
-            # Never empty: an `a` in env pairs with every `b`; with none, no `b` is in env.
-            candidates = [(a, b) for a in alphabet for b in alphabet if a in env or b not in env]
-            a, b = rng.choice(candidates)
-            rules.append(CellRule(1, CellAntiport(Multiset([a]), Multiset([b]))))
-    init = Multiset(rng.choices(alphabet, k=rng.randint(0, 4)))
-    return CellPSystem(
-        alphabet=alphabet,
-        structure=MembraneStructure(1),
-        init={1: init},
-        env_support=env,
-        rules=rules,
-        output=1,
-    )
-
-
-def harness_monotone_minimal(sample_count: int, seed: int) -> HarnessReport:
-    """Random one-membrane minimal systems: the inside count never grows.
-
-    For each sample, checks three things: the inside count is
-    non-increasing across every explored edge, exploration bounded by
-    the initial inside count exhausts the whole tree, and every halting
-    result is at most the initial inside count.
-    """
-    rng = random.Random(seed)
-    violations: list[str] = []
-    for k in range(sample_count):
-        sys = _random_shrinking_minimal_system(rng)
-        report = validate_cell(sys)
-        if not report.ok:
-            violations.append(f"sample {k}: generator produced an invalid system: {report}")
-            continue
-        initial_inside = sys.initial_contents(1).size
-
-        def watch_edge(config, choice, successor, _k=k):
-            if successor.total_inside > config.total_inside:
-                violations.append(
-                    f"sample {_k}: inside count grew {config.total_inside} -> "
-                    f"{successor.total_inside} on {choice}"
-                )
-
-        budget = ExploreBudget(max_depth=4096, max_total_objects=max(initial_inside, 1))
-        outcome = explore(sys, budget, on_edge=watch_edge)
-        if not outcome.exhausted:
-            violations.append(
-                f"sample {k}: exploration bounded by the initial size did not exhaust"
-            )
-        for value in outcome.results:
-            if value > initial_inside:
-                violations.append(
-                    f"sample {k}: result {value} exceeds initial inside count "
-                    f"{initial_inside}"
-                )
-    return HarnessReport(checked=sample_count, violations=tuple(violations))
-
-
-def _is_minimal_cell_rule(rule: CellRule) -> bool:
-    form = rule.form
-    if isinstance(form, (SymportIn, SymportOut)):
-        return form.objects.size <= 2
-    return form.outbound.size == 1 and form.inbound.size == 1
-
-
-def harness_deterministic_minimal(
-    corpus: Sequence[CellPSystem], budget: ExploreBudget = ExploreBudget()
-) -> HarnessReport:
-    """Deterministic minimal systems: halting runs never exceed the initial total.
-
-    Each corpus entry must use only minimal rules (symport of at most
-    two objects, one-for-one antiport), be deterministic within the
-    budget, and halt; the harness checks the inside total against the
-    initial total on every step of its single computation.
-    """
-    violations: list[str] = []
-    for k, sys in enumerate(corpus):
-        if not all(_is_minimal_cell_rule(rule) for rule in sys.rules):
-            violations.append(f"system {k}: has non-minimal rules")
-            continue
-        report = validate_cell(sys)
-        if not report.ok:
-            violations.append(f"system {k}: invalid: {report}")
-            continue
-        engine = Engine(sys)
-        start = engine.initial()
-        exceeds: list[str] = []
-
-        def watch_edge(config, choice, successor, _k=k, _total=start.total_inside):
-            if successor.total_inside > _total:
-                exceeds.append(
-                    f"system {_k}: inside total {successor.total_inside} exceeds initial {_total}"
-                )
-
-        # Stopping at the first branching, the walk sees each edge of the single computation once.
-        outcome, witness = _walk(engine, start, budget, watch_edge, stop_at_branching=True)
-        verdict = _verdict(outcome, witness)
-        if verdict.status != "deterministic_up_to_budget":
-            violations.append(
-                f"system {k}: not certified deterministic ({verdict.status})"
-            )
-            continue
-        violations += exceeds
-        if not outcome.halting_leaves:
-            violations.append(
-                f"system {k}: no halting computation within {budget.max_depth} steps; "
-                "corpus entries must halt"
-            )
-    return HarnessReport(checked=len(corpus), violations=tuple(violations))

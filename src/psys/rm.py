@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .explore import ExploreBudget, explore
-from .measures import cell_rule_size, profile
+from .measures import cell_rule_size
 from .model import (
     CellAntiport,
     CellPSystem,
@@ -358,14 +358,4 @@ def verify_compilation(
         normal_form_ok=normal_form_ok,
         messages=tuple(messages),
         inconclusive=inconclusive,
-    )
-
-
-def compiled_profile_certificate(compiled: CompiledSystem) -> bool:
-    """Does the emitted rule set honor its own size certificate?"""
-    measured = profile(compiled.system)
-    return (
-        measured.max_antiport_size == compiled.certificate
-        and measured.max_antiport_size <= 2
-        and measured.degree == 1
     )

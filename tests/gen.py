@@ -6,6 +6,8 @@ purpose: the brute-force oracle enumerates full application-count
 vectors and anything larger would make it the bottleneck. `junk_text`
 is the exception: it makes arbitrary text for the parsers, and
 `random_machine` makes register machines for the compiler.
+`random_shrinking_minimal_system` makes the one-membrane minimal-rule
+systems of acceptance criterion 3, whose inside count can never grow.
 """
 
 from __future__ import annotations
@@ -248,6 +250,42 @@ def random_shared_system(rng: random.Random, max_rules=4):
         else:
             rules.append(TissueAntiport(src, need(), need(), dst))
     return TissuePSystem(names, n, init, env, rules, rng.randint(1, n))
+
+
+def random_shrinking_minimal_system(rng: random.Random) -> CellPSystem:
+    """One-membrane system whose rules provably cannot grow the inside count.
+
+    Rule forms: symport-out of one or two objects, and one-for-one
+    antiport. An antiport (a, out; b, in) is only emitted when a is in
+    the unlimited supply or b is not: otherwise each firing adds a to
+    the tracked environment remainder while drawing b from the unlimited
+    pool, growing the tracked total without bound.
+
+    Symport-in is deliberately absent: a rule (x, in) at the skin can
+    re-import objects previously sent out, raising the inside count
+    mid-run even in systems the validator accepts.
+    """
+    alphabet = [f"o{i}" for i in range(rng.randint(1, 4))]
+    env = frozenset(name for name in alphabet if rng.random() < 0.4)
+    rules = []
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.5:
+            objects = Multiset(rng.choices(alphabet, k=rng.randint(1, 2)))
+            rules.append(CellRule(1, SymportOut(objects)))
+        else:
+            # Never empty: an `a` in env pairs with every `b`; with none, no `b` is in env.
+            candidates = [(a, b) for a in alphabet for b in alphabet if a in env or b not in env]
+            a, b = rng.choice(candidates)
+            rules.append(CellRule(1, CellAntiport(Multiset([a]), Multiset([b]))))
+    init = Multiset(rng.choices(alphabet, k=rng.randint(0, 4)))
+    return CellPSystem(
+        alphabet=alphabet,
+        structure=MembraneStructure(1),
+        init={1: init},
+        env_support=env,
+        rules=rules,
+        output=1,
+    )
 
 
 def random_machine(rng: random.Random) -> RegisterMachine:

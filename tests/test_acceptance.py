@@ -9,15 +9,13 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from functools import partial
 from itertools import product
 
+import pytest
+
 from psys.engine import Engine
-from psys.explore import (
-    ExploreBudget,
-    explore,
-    harness_deterministic_minimal,
-    harness_monotone_minimal,
-)
+from psys.explore import ExploreBudget, check_deterministic, explore
 from psys.dsl import parse_system, print_system
 from psys.measures import (
     cell_rule_size,
@@ -27,18 +25,27 @@ from psys.measures import (
 )
 from psys.model import (
     CellAntiport,
+    CellPSystem,
     CellRule,
+    MembraneStructure,
     SymportIn,
+    SymportOut,
     TissueAntiport,
     TissueSymport,
     encode_cell_as_tissue,
+    validate_cell,
 )
 from psys.multiset import parse_multiset
 from psys.rm import compile_machine, verify_compilation
 
 from _acceptance_log import record
 from corpus import deterministic_minimal_corpus
-from gen import random_cell_system, random_system, random_tissue_system
+from gen import (
+    random_cell_system,
+    random_shrinking_minimal_system,
+    random_system,
+    random_tissue_system,
+)
 from machines import verification_suite
 from oracles import maximal_steps_oracle, state_of
 from test_measures import EXPECTED_TABLE, _partition_key, rule_for
@@ -115,20 +122,92 @@ def test_criterion_02_conservation():
                     break
 
 
+def is_minimal(sys):
+    """Symport of at most two objects, one-for-one antiport (exact on a valid cell system)."""
+    measured = profile(sys)
+    return measured.max_symport_size <= 2 and measured.max_antiport_size <= 1
+
+
+def check_never_grows(sys):
+    """Criterion 3 on one system: no edge grows the inside count, and the walk
+    bounded by the initial inside count exhausts with no larger result."""
+    assert validate_cell(sys).ok and is_minimal(sys), sys
+    initial = sys.initial_contents(1).size
+
+    def watch(config, choice, successor):
+        grew = successor.total_inside > config.total_inside
+        assert not grew, f"inside count grew on {choice}: {sys}"
+
+    budget = ExploreBudget(max_depth=4096, max_total_objects=max(initial, 1))
+    outcome = explore(sys, budget, on_edge=watch)
+    assert outcome.exhausted, f"walk bounded by the initial size did not exhaust: {sys}"
+    assert max(outcome.results, default=0) <= initial, sys
+
+
+def check_stays_within_start(sys, budget=ExploreBudget()):
+    """Criterion 4 on one system: a deterministic, halting minimal-rule system
+    whose inside total never exceeds the initial one on any edge."""
+    assert validate_cell(sys).ok, sys
+    assert is_minimal(sys), f"non-minimal rules: {sys}"
+    engine = Engine(sys)
+    status = check_deterministic(engine, budget).status
+    assert status == "deterministic_up_to_budget", f"not certified deterministic ({status}): {sys}"
+    initial = engine.initial().total_inside
+
+    def watch(config, choice, successor):
+        assert successor.total_inside <= initial, f"inside total exceeds {initial}: {sys}"
+
+    # A deterministic system's walk is its single computation.
+    outcome = explore(engine, budget, on_edge=watch)
+    assert outcome.halting_leaves, f"no halting computation within {budget.max_depth} steps: {sys}"
+
+
 def test_criterion_03_monotone_harness():
     with criterion(3, "one-membrane minimal systems never grow (500 samples)"):
-        report = harness_monotone_minimal(500, seed=103)
-        assert report.checked == 500
-        assert report.ok, report.violations[:5]
+        rng = random.Random(103)
+        for _ in range(500):
+            check_never_grows(random_shrinking_minimal_system(rng))
 
 
 def test_criterion_04_deterministic_corpus():
     with criterion(4, "deterministic minimal corpus stays within its initial size"):
         corpus = deterministic_minimal_corpus()
         assert len(corpus) >= 10
-        report = harness_deterministic_minimal(corpus)
-        assert report.checked == len(corpus)
-        assert report.ok, report.violations
+        for sys in corpus:
+            check_stays_within_start(sys)
+
+
+def one_membrane(rules, init, env=()):
+    rules = [CellRule(1, form) for form in rules]
+    return CellPSystem(("a", "b"), MembraneStructure(1), {1: ms(init)}, env, rules, 1)
+
+
+@pytest.mark.parametrize(
+    "check, system, message",
+    [
+        # Sent out, a is pulled back in from the finite environment.
+        (check_never_grows, one_membrane([SymportOut(ms("a")), SymportIn(ms("a"))], "a"), "grew"),
+        (
+            check_stays_within_start,
+            one_membrane([SymportOut(ms("a b^2"))], "a b^2"),
+            "non-minimal",
+        ),
+        (
+            partial(check_stays_within_start, budget=ExploreBudget(max_depth=50)),
+            one_membrane([CellAntiport(ms("a"), ms("a"))], "a", env=("a",)),
+            "no halting",
+        ),
+        (
+            check_stays_within_start,
+            one_membrane([SymportOut(ms("a b")), SymportOut(ms("a"))], "a b"),
+            "not certified deterministic",
+        ),
+    ],
+    ids=["growing", "fat", "loop", "branching"],
+)
+def test_criteria_03_04_fail_their_counterexamples(check, system, message):
+    with pytest.raises(AssertionError, match=message):
+        check(system)
 
 
 def test_criterion_05_compiler_verification():

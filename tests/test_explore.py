@@ -12,8 +12,6 @@ from psys.explore import (
     check_deterministic,
     decide_accept,
     explore,
-    harness_deterministic_minimal,
-    harness_monotone_minimal,
 )
 from psys.model import (
     CellAntiport,
@@ -264,14 +262,17 @@ def test_walk_matches_a_walk_memoizing_configurations():
     # outside the alphabet (aa sorts before every base slot of its node, zz
     # after), and from a start built as Configuration(regions, env). An
     # on_edge hook must see that walk's edges in order, edges into visited
-    # successors and from configurations with several steps included.
+    # successors and from configurations with several steps included. Under
+    # a cap of three configurations, a walk that meets more must refuse
+    # each further successor once, as one cut.
     rng = random.Random(59)
     budgets = [
         ExploreBudget(max_depth=12, max_total_objects=30, max_configs=400),
         ExploreBudget(max_depth=5, max_total_objects=8, max_branches=3, max_configs=40),
     ]
+    capped = ExploreBudget(max_depth=12, max_total_objects=30, max_configs=3)
     extra = ms("aa^2 o1 zz")
-    cut = witnesses = revisits = branching = 0
+    cut = witnesses = revisits = branching = capped_cuts = 0
     for k in range(300):
         sys = random_shared_system(rng) if k % 3 == 0 else random_system(rng, max_rules=4)
         eng = Engine(sys)
@@ -295,6 +296,11 @@ def test_walk_matches_a_walk_memoizing_configurations():
             branching += len({config for config, _, _ in edges}) < len(edges)
             cut += not outcome.exhausted
             witnesses += witness is not None
+            edges = []
+            expected, _ = memo_walk(eng, start, capped, edges=edges)
+            assert explore(eng, capped, start=start) == ExploreOutcome(*expected), (sys, start)
+            met = {start} | {successor for _, _, successor in edges}
+            capped_cuts += len(met) > capped.max_configs
 
         (_, exhausted, halting, _, _), _ = memo_walk(eng, eng.initial(extra, label), budget)
         verdict = "accepted" if halting else "rejected_exhaustive" if exhausted else "unknown"
@@ -307,6 +313,7 @@ def test_walk_matches_a_walk_memoizing_configurations():
         assert check_deterministic(eng, budget) == DeterminismVerdict(status, witness), sys
     assert cut >= 60 and witnesses >= 60, (cut, witnesses)
     assert revisits >= 400 and branching >= 60, (revisits, branching)
+    assert capped_cuts >= 80, capped_cuts
 
 
 def test_walk_without_a_hook_makes_no_public_engine_call(monkeypatch):
@@ -360,60 +367,7 @@ def test_memoized_results_match_naive_on_cyclic_systems():
     assert explore(sys).results == frozenset()
 
 
-# ---------------------------------------------------------------- harnesses
-
-
-def test_monotone_harness_passes():
-    report = harness_monotone_minimal(200, seed=7)
-    assert report.ok, report.violations[:5]
-    assert report.checked == 200
-
-
-def test_monotone_harness_is_seed_reproducible():
-    first = harness_monotone_minimal(30, seed=11)
-    second = harness_monotone_minimal(30, seed=11)
-    assert first == second
-
-
-def test_deterministic_harness_accepts_the_corpus():
-    report = harness_deterministic_minimal(deterministic_minimal_corpus())
-    assert report.ok, report.violations
-    assert report.checked >= 10
-
-
-
-def test_deterministic_harness_builds_one_engine_per_system(monkeypatch):
-    built = []
-    init = Engine.__init__
-
-    def counting_init(engine, sys):
-        built.append(sys)
-        init(engine, sys)
-
-    monkeypatch.setattr(Engine, "__init__", counting_init)
-    corpus = deterministic_minimal_corpus()
-    assert harness_deterministic_minimal(corpus).ok
-    assert len(corpus) == 12 and len(built) == 12
-
-def test_deterministic_harness_rejects_non_minimal_rules():
-    fat = flat([SymportOut(ms("a b^2"))], "a b^2")
-    report = harness_deterministic_minimal([fat])
-    assert not report.ok
-    assert "non-minimal" in report.violations[0]
-
-
-def test_deterministic_harness_rejects_non_halting_entries():
-    loop = flat([CellAntiport(ms("a"), ms("a"))], "a", env=("a",))
-    report = harness_deterministic_minimal([loop], ExploreBudget(max_depth=50))
-    assert not report.ok
-    assert "halt" in report.violations[0]
-
-
-def test_deterministic_harness_rejects_nondeterministic_entries():
-    branching = flat([SymportOut(ms("a b")), SymportOut(ms("a"))], "a b")
-    report = harness_deterministic_minimal([branching])
-    assert not report.ok
-    assert "deterministic" in report.violations[0]
+# ---------------------------------------------------------------- corpus
 
 
 def test_corpus_entries_really_are_deterministic_and_minimal():

@@ -331,7 +331,7 @@ PUBLIC_NAMES = [
     "Add", "CellAntiport", "CellPSystem", "CellRule", "CompileError",
     "CompiledSystem", "ComplexityProfile", "Configuration",
     "DeterminismVerdict", "EMPTY", "Engine", "EnvContent", "ExploreBudget",
-    "ExploreOutcome", "Halt", "HarnessReport", "InteractionRule",
+    "ExploreOutcome", "Halt", "InteractionRule",
     "InteractionSystem", "MembraneStructure", "Multiset",
     "MultisetSyntaxError", "MultisetUnderflow", "RegisterMachine",
     "RuleClass", "SourceDiagnostic", "StepChoice", "Sub", "SymportIn",
@@ -339,8 +339,7 @@ PUBLIC_NAMES = [
     "UniportRule", "ValidationReport", "VerificationReport", "Violation",
     "cell_rule_size", "check_deterministic", "classify", "compile_machine",
     "decide_accept", "derive_graph", "encode_cell_as_tissue", "explore",
-    "format_multiset", "harness_deterministic_minimal",
-    "harness_monotone_minimal", "machine_problems", "parse_interactions",
+    "format_multiset", "machine_problems", "parse_interactions",
     "parse_machine", "parse_multiset", "parse_structure", "parse_system",
     "print_interactions", "print_machine", "print_system", "profile",
     "rm_results", "tissue_rule_size", "trace_to_lines", "validate",
