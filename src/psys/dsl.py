@@ -28,9 +28,9 @@ rules without a region prefix: `@rules: (1, a / b, 0)`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from ._record import Record
 from .model import (
     CellAntiport,
     CellPSystem,
@@ -74,8 +74,7 @@ INTERNAL_ERROR = "D011"
 BAD_PAYLOAD = "D012"
 
 
-@dataclass(frozen=True)
-class SourceDiagnostic:
+class SourceDiagnostic(Record):
     line: int
     column: int
     code: str

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import add, itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
+from ._record import Record, set_field
 from .model import CellPSystem, PSystem, Rule, rule_location, rule_moves, rule_text
 from .multiset import EMPTY, EnvContent, Multiset, MultisetUnderflow
 
@@ -166,8 +166,7 @@ _set_layout, _set_counts = (
 )
 
 
-@dataclass(frozen=True)
-class TransferRule:
+class TransferRule(Record):
     """One rule of a system: its position, positional id (r1, r2, ...) and source.
 
     `text` is `model.rule_text` of the source, made when read, never up
@@ -179,27 +178,35 @@ class TransferRule:
     rid: str
     source: Rule
 
+    def __init__(self, index: int, rid: str, source: Rule):
+        set_field(self, "index", index)
+        set_field(self, "rid", rid)
+        set_field(self, "source", source)
+
     @property
     def text(self) -> str:
         return rule_text(self.source)
 
 
-@dataclass(frozen=True)
-class StepChoice:
+class StepChoice(Record):
     """One maximally parallel step: rule index -> positive multiplicity."""
 
     applications: tuple[tuple[int, int], ...]
 
+    def __init__(self, applications: tuple[tuple[int, int], ...]):
+        set_field(self, "applications", applications)
 
-@dataclass
-class TraceStep:
+
+class TraceStep(Record, frozen=False):
     choice: StepChoice
     after: Configuration
-    note: Optional[str] = None
+    note: Optional[str]
+
+    def __init__(self, choice: StepChoice, after: Configuration, note: Optional[str] = None):
+        self.choice, self.after, self.note = choice, after, note
 
 
-@dataclass
-class Trace:
+class Trace(Record, frozen=False):
     """One computation from `initial`; `halted` means no rule can apply at `final`.
 
     `steps` is a list when `Engine.run` or `run_accepting` returns the
@@ -208,8 +215,15 @@ class Trace:
     """
 
     initial: Configuration
-    steps: list[TraceStep] = field(default_factory=list)
-    halted: bool = False
+    steps: list[TraceStep]
+    halted: bool
+
+    def __init__(
+        self, initial: Configuration, steps: Optional[list] = None, halted: bool = False
+    ):
+        self.initial = initial
+        self.steps = [] if steps is None else steps
+        self.halted = halted
 
     @property
     def steps_taken(self) -> int:

@@ -13,9 +13,9 @@ set. Any budget hit is reported, never silently absorbed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
+from ._record import Record, set_field
 from .engine import Configuration, Engine, StepChoice
 from .multiset import Multiset
 
@@ -31,26 +31,39 @@ DEFAULT_MAX_CONFIGS = 1_000_000
 COMPILE_AFTER = 1_000
 
 
-@dataclass(frozen=True)
-class ExploreBudget:
-    max_depth: int = DEFAULT_MAX_DEPTH
-    max_total_objects: int = DEFAULT_MAX_TOTAL_OBJECTS
-    max_branches: int = DEFAULT_MAX_BRANCHES
-    max_configs: int = DEFAULT_MAX_CONFIGS
+class ExploreBudget(Record):
+    max_depth: int
+    max_total_objects: int
+    max_branches: int
+    max_configs: int
 
-    def __post_init__(self):
-        for budget in fields(self):
-            if getattr(self, budget.name) < 1:
-                raise ValueError(f"{budget.name} must be positive")
+    def __init__(
+        self,
+        max_depth: int = DEFAULT_MAX_DEPTH,
+        max_total_objects: int = DEFAULT_MAX_TOTAL_OBJECTS,
+        max_branches: int = DEFAULT_MAX_BRANCHES,
+        max_configs: int = DEFAULT_MAX_CONFIGS,
+    ):
+        budgets = (max_depth, max_total_objects, max_branches, max_configs)
+        for name, budget in zip(self._fields, budgets):
+            if budget < 1:
+                raise ValueError(f"{name} must be positive")
+            set_field(self, name, budget)
 
 
-@dataclass(frozen=True)
-class ExploreOutcome:
+class ExploreOutcome(Record):
     results: frozenset[int]
     exhausted: bool
     halting_leaves: int
     cut_branches: int
     visited_configs: int
+
+    def __init__(self, results, exhausted, halting_leaves, cut_branches, visited_configs):
+        set_field(self, "results", results)
+        set_field(self, "exhausted", exhausted)
+        set_field(self, "halting_leaves", halting_leaves)
+        set_field(self, "cut_branches", cut_branches)
+        set_field(self, "visited_configs", visited_configs)
 
     def as_dict(self) -> dict:
         return {
@@ -195,8 +208,7 @@ def decide_accept(
     return "unknown"
 
 
-@dataclass(frozen=True)
-class DeterminismVerdict:
+class DeterminismVerdict(Record):
     status: str  # "deterministic_up_to_budget" | "nondeterministic" | "unknown"
     witness: Optional[Configuration] = None
 

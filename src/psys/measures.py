@@ -9,9 +9,9 @@ numbers, and the two are never mixed.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
 from typing import Union
 
+from ._record import Record
 from .model import (
     CellPSystem,
     CellRule,
@@ -62,8 +62,7 @@ def tissue_rule_size(rule: TissueRule) -> int:
     return rule.outbound.size + rule.inbound.size
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(Record):
     kind: str  # "cell" or "tissue"
     degree: int
     max_symport_size: int
@@ -73,7 +72,7 @@ class ComplexityProfile:
     antiport_measure: str  # "max" for cell systems, "sum" for tissue
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def profile(sys: Union[CellPSystem, TissuePSystem]) -> ComplexityProfile:

@@ -14,9 +14,9 @@ raise on bad systems.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Optional, Union
 
+from ._record import Record, set_field
 from .multiset import EMPTY, Multiset, format_multiset, is_valid_name
 
 # Violation codes are stable identifiers; tests and scripts match on them.
@@ -36,8 +36,7 @@ UNBOUNDED_RULE = "V013"  # rule consumes unlimited objects only; applicability h
 INERT_RULE = "W001"  # interaction rule that moves nothing
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     code: str
     location: str
     message: str
@@ -47,9 +46,11 @@ class Violation:
         return f"{self.code} [{self.severity}] {self.location}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(Record):
+    violations: tuple[Violation, ...]
+
+    def __init__(self, violations: tuple[Violation, ...] = ()):
+        set_field(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -67,8 +68,7 @@ class ValidationReport:
         return "\n".join(map(str, self.violations))
 
 
-@dataclass(frozen=True, slots=True)
-class MembraneStructure:
+class MembraneStructure(Record):
     """Rooted tree of membranes labeled 1..n, given by a parent map.
 
     The skin is the single label without a parent. `outer` maps the skin
@@ -76,10 +76,11 @@ class MembraneStructure:
     """
 
     n: int
-    parent: Mapping[int, int] = ()
+    parent: dict[int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "parent", dict(self.parent))
+    def __init__(self, n: int, parent: Mapping[int, int] = ()):
+        set_field(self, "n", n)
+        set_field(self, "parent", dict(parent))
 
     @property
     def labels(self) -> range:
@@ -138,48 +139,61 @@ class MembraneStructure:
         return hash((self.n, tuple(sorted(self.parent.items()))))
 
 
-@dataclass(frozen=True)
-class SymportIn:
+class SymportIn(Record):
     """Pull `objects` into the owning region from its outer region."""
 
     objects: Multiset
 
+    def __init__(self, objects: Multiset):
+        set_field(self, "objects", objects)
 
-@dataclass(frozen=True)
-class SymportOut:
+
+class SymportOut(Record):
     """Push `objects` from the owning region to its outer region."""
 
     objects: Multiset
 
+    def __init__(self, objects: Multiset):
+        set_field(self, "objects", objects)
 
-@dataclass(frozen=True)
-class CellAntiport:
+
+class CellAntiport(Record):
     """Swap `outbound` (inside the region) for `inbound` (in the outer region)."""
 
     outbound: Multiset
     inbound: Multiset
 
+    def __init__(self, outbound: Multiset, inbound: Multiset):
+        set_field(self, "outbound", outbound)
+        set_field(self, "inbound", inbound)
+
 
 CellRuleForm = Union[SymportIn, SymportOut, CellAntiport]
 
 
-@dataclass(frozen=True)
-class CellRule:
+class CellRule(Record):
     region: int
     form: CellRuleForm
 
+    def __init__(self, region: int, form: CellRuleForm):
+        set_field(self, "region", region)
+        set_field(self, "form", form)
 
-@dataclass(frozen=True)
-class TissueSymport:
+
+class TissueSymport(Record):
     """Move `objects` from node `src` to node `dst`."""
 
     src: int
     objects: Multiset
     dst: int
 
+    def __init__(self, src: int, objects: Multiset, dst: int):
+        set_field(self, "src", src)
+        set_field(self, "objects", objects)
+        set_field(self, "dst", dst)
 
-@dataclass(frozen=True)
-class TissueAntiport:
+
+class TissueAntiport(Record):
     """Swap `outbound` (at `src`) for `inbound` (at `dst`)."""
 
     src: int
@@ -187,12 +201,17 @@ class TissueAntiport:
     inbound: Multiset
     dst: int
 
+    def __init__(self, src: int, outbound: Multiset, inbound: Multiset, dst: int):
+        set_field(self, "src", src)
+        set_field(self, "outbound", outbound)
+        set_field(self, "inbound", inbound)
+        set_field(self, "dst", dst)
+
 
 TissueRule = Union[TissueSymport, TissueAntiport]
 
 
-@dataclass(frozen=True)
-class InteractionRule:
+class InteractionRule(Record):
     """Move object `obj_a` from `src_a` to `dst_a` and `obj_b` from `src_b` to `dst_b`,
     jointly: both objects must be present for the rule to fire."""
 
@@ -203,6 +222,14 @@ class InteractionRule:
     dst_a: int
     dst_b: int
 
+    def __init__(self, obj_a: str, src_a: int, obj_b: str, src_b: int, dst_a: int, dst_b: int):
+        set_field(self, "obj_a", obj_a)
+        set_field(self, "src_a", src_a)
+        set_field(self, "obj_b", obj_b)
+        set_field(self, "src_b", src_b)
+        set_field(self, "dst_a", dst_a)
+        set_field(self, "dst_b", dst_b)
+
     def swapped(self) -> "InteractionRule":
         """The same rule with the two object roles exchanged."""
         return InteractionRule(
@@ -210,20 +237,24 @@ class InteractionRule:
         )
 
 
-@dataclass(frozen=True)
-class UniportRule:
+class UniportRule(Record):
     """Move a single object from `src` to `dst`, unconditionally."""
 
     obj: str
     src: int
     dst: int
 
+    def __init__(self, obj: str, src: int, dst: int):
+        set_field(self, "obj", obj)
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
 
-class _System:
+
+class _System(Record, frozen=False):
     """What every system kind shares: normalized fields, initial contents, equality.
 
-    Each kind is a dataclass whose second field (a membrane structure or
-    a cell count) says where its regions are. Every kind compares its
+    Each kind is a mutable record whose second field (a membrane structure
+    or a cell count) says where its regions are. Every kind compares its
     rules as a multiset of values, in any order, and never equals a
     system of another kind.
     """
@@ -242,7 +273,7 @@ class _System:
         # rule's text is written, which a count past the digit limit refuses.
         if not isinstance(other, type(self)):
             return NotImplemented
-        regions = fields(self)[1].name
+        regions = self._fields[1]
         return (
             self.alphabet == other.alphabet
             and getattr(self, regions) == getattr(other, regions)
@@ -253,7 +284,6 @@ class _System:
         )
 
 
-@dataclass(eq=False)
 class CellPSystem(_System):
     alphabet: frozenset[str]
     structure: MembraneStructure
@@ -262,8 +292,12 @@ class CellPSystem(_System):
     rules: tuple[CellRule, ...]
     output: int
 
+    def __init__(self, alphabet, structure, init, env_support, rules, output):
+        self.alphabet, self.structure, self.init = alphabet, structure, init
+        self.env_support, self.rules, self.output = env_support, rules, output
+        self.__post_init__()
 
-@dataclass(eq=False)
+
 class TissuePSystem(_System):
     alphabet: frozenset[str]
     n_cells: int
@@ -272,8 +306,12 @@ class TissuePSystem(_System):
     rules: tuple[TissueRule, ...]
     output: int
 
+    def __init__(self, alphabet, n_cells, init, env_support, rules, output):
+        self.alphabet, self.n_cells, self.init = alphabet, n_cells, init
+        self.env_support, self.rules, self.output = env_support, rules, output
+        self.__post_init__()
 
-@dataclass(eq=False)
+
 class InteractionSystem(_System):
     """Tissue-style system whose rules are interaction and uniport rules."""
 
@@ -399,7 +437,7 @@ def _validate(sys, shape, regions, output, check_rule, text) -> ValidationReport
         check_rule(rule, out)
         if len(out) > found:
             where = rule_location(f"rule {idx + 1}", text, rule)
-            out[found:] = [replace(v, location=where) for v in out[found:]]
+            out[found:] = [Violation(v.code, where, v.message, v.severity) for v in out[found:]]
     out.extend(output)
     return ValidationReport(tuple(out))
 

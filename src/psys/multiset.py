@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from typing import Optional, Union
+
+from ._record import Record
 
 NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN = re.compile(r"\S+")
@@ -185,8 +186,7 @@ def format_multiset(m: Multiset) -> str:
     return " ".join(name if k == 1 else f"{name}^{k}" for name, k in m.items())
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class EnvContent:
+class EnvContent(Record):
     """Environment contents: an unlimited pool plus a finite remainder.
 
     Objects in `infinite` are available in arbitrarily many copies and

@@ -16,9 +16,9 @@ the zero test.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._record import Record, set_field
 from .explore import ExploreBudget, explore
 from .measures import cell_rule_size
 from .model import (
@@ -34,17 +34,20 @@ from .multiset import Multiset, is_valid_name
 STATE_BOUND = 1_000_000
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     """Increment `register`, then jump to `goto_a` or `goto_b` (free choice)."""
 
     register: int
     goto_a: str
     goto_b: str
 
+    def __init__(self, register: int, goto_a: str, goto_b: str):
+        set_field(self, "register", register)
+        set_field(self, "goto_a", goto_a)
+        set_field(self, "goto_b", goto_b)
 
-@dataclass(frozen=True)
-class Sub:
+
+class Sub(Record):
     """If `register` > 0, decrement and jump to `goto_nonzero`;
     otherwise leave it and jump to `goto_zero`."""
 
@@ -52,21 +55,29 @@ class Sub:
     goto_nonzero: str
     goto_zero: str
 
+    def __init__(self, register: int, goto_nonzero: str, goto_zero: str):
+        set_field(self, "register", register)
+        set_field(self, "goto_nonzero", goto_nonzero)
+        set_field(self, "goto_zero", goto_zero)
 
-@dataclass(frozen=True)
-class Halt:
-    pass
+
+class Halt(Record):
+    def __init__(self):
+        pass
 
 
 Instruction = Union[Add, Sub, Halt]
 
 
-@dataclass
-class RegisterMachine:
+class RegisterMachine(Record, frozen=False):
     num_registers: int
     output_register: int
     start: str
     instructions: dict[str, Instruction]
+
+    def __init__(self, num_registers, output_register, start, instructions):
+        self.num_registers, self.output_register = num_registers, output_register
+        self.start, self.instructions = start, instructions
 
 
 class CompileError(ValueError):
@@ -165,11 +176,13 @@ def register_object(r: int) -> str:
     return f"a{r}"
 
 
-@dataclass
-class CompiledSystem:
+class CompiledSystem(Record, frozen=False):
     system: CellPSystem
     symbol_map: dict[str, str]
     certificate: int  # largest antiport size among emitted rules
+
+    def __init__(self, system: CellPSystem, symbol_map: dict[str, str], certificate: int):
+        self.system, self.symbol_map, self.certificate = system, symbol_map, certificate
 
 
 def compile_machine(m: RegisterMachine) -> CompiledSystem:
@@ -249,8 +262,7 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
     return CompiledSystem(system=system, symbol_map=symbol_map, certificate=certificate)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record, frozen=False):
     """The audit's verdict.
 
     `ok` means the result sets are equal and the machine is in normal form.
@@ -266,8 +278,18 @@ class VerificationReport:
     machine_exhausted: bool
     system_exhausted: bool
     normal_form_ok: bool
-    messages: tuple[str, ...] = ()
-    inconclusive: bool = False
+    messages: tuple[str, ...]
+    inconclusive: bool
+
+    def __init__(
+        self, ok, bound, machine_results, system_results, machine_exhausted,
+        system_exhausted, normal_form_ok, messages=(), inconclusive=False,
+    ):
+        self.ok, self.bound = ok, bound
+        self.machine_results, self.system_results = machine_results, system_results
+        self.machine_exhausted, self.system_exhausted = machine_exhausted, system_exhausted
+        self.normal_form_ok, self.messages = normal_form_ok, messages
+        self.inconclusive = inconclusive
 
     def as_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ is the exception: it makes arbitrary text for the parsers, and
 `random_machine` makes register machines for the compiler.
 `random_shrinking_minimal_system` makes the one-membrane minimal-rule
 systems of acceptance criterion 3, whose inside count can never grow.
+`altered` copies a system with some fields changed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from psys.model import (
 )
 from psys.multiset import Multiset
 from psys.rm import Add, Halt, RegisterMachine, Sub
+
+
+def altered(value, **changes):
+    """`value` with `changes` to some of its fields, built through its class, so
+    that the class normalizes the new fields as it does any others."""
+    fields = {name: getattr(value, name) for name in type(value)._fields}
+    return type(value)(**{**fields, **changes})
 
 
 def random_multiset(rng: random.Random, names, low=1, high=2, max_count=3) -> Multiset:

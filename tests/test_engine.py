@@ -948,6 +948,16 @@ def test_configuration_equality_and_hash():
         a.region_size(2)
 
 
+def test_configuration_refuses_every_assignment():
+    a = Configuration({1: ms("a")}, EnvContent({"e"}, ms("b")))
+    b = Configuration({1: ms("a")}, EnvContent({"e"}, ms("b")))
+    before = hash(a)
+    for name, value in (("_counts", (5, 5)), ("_layout", b._layout), ("label", 1)):
+        with pytest.raises(AttributeError, match="^Configuration is immutable$"):
+            setattr(a, name, value)
+    assert hash(a) == before and a == b and a.total_tracked == 2
+
+
 def test_configuration_contract_holds_across_construction_routes():
     sys = cell(
         [

@@ -11,7 +11,6 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import psys
@@ -41,6 +40,7 @@ from psys.explore import ExploreBudget, check_deterministic, decide_accept, expl
 from psys.multiset import Multiset, format_multiset
 
 from gen import (
+    altered,
     junk_text,
     random_cell_system,
     random_interaction_system,
@@ -400,31 +400,31 @@ def _defect(rng, sys):
     far = max(n, 1) + rng.randint(1, 5)
     name = rng.choice(sorted(sys.alphabet - {"", "9x", "a b"}) or ["o1"])
     one = Multiset({name: 1})
-    unlimited = replace(sys, env_support=sys.env_support | {name}) if name in sys.alphabet else sys
+    unlimited = altered(sys, env_support=sys.env_support | {name}) if name in sys.alphabet else sys
     label = rng.randint(1, max(n, 1))
 
     def adding(rule, base=sys):
         rules = list(base.rules)
         rules.insert(rng.randint(0, len(rules)), rule)
-        return replace(base, rules=rules)
+        return altered(base, rules=rules)
 
     defects = [
-        lambda: replace(sys, init={**sys.init, far: one}),
-        lambda: replace(sys, init={**sys.init, label: Multiset({"zz": 2})}),
-        lambda: replace(sys, alphabet=sys.alphabet | {rng.choice(["", "9x", "a b"])}),
-        lambda: replace(sys, env_support=sys.env_support | {"stray"}),
-        lambda: replace(sys, output=rng.choice([far, 0, -1])),
+        lambda: altered(sys, init={**sys.init, far: one}),
+        lambda: altered(sys, init={**sys.init, label: Multiset({"zz": 2})}),
+        lambda: altered(sys, alphabet=sys.alphabet | {rng.choice(["", "9x", "a b"])}),
+        lambda: altered(sys, env_support=sys.env_support | {"stray"}),
+        lambda: altered(sys, output=rng.choice([far, 0, -1])),
     ]
     if cell:
         skin = sys.structure.skin if not sys.structure.problems() else 1
         defects += [
-            lambda: replace(sys, structure=MembraneStructure(3, {2: 3, 3: 2})),
-            lambda: replace(sys, structure=MembraneStructure(4, {2: 1, 3: 4, 4: 3})),
-            lambda: replace(sys, structure=MembraneStructure(2)),
-            lambda: replace(sys, structure=MembraneStructure(2, {2: 9})),
-            lambda: replace(sys, structure=MembraneStructure(1, {5: 1})),
-            lambda: replace(sys, structure=MembraneStructure(rng.choice([0, -2]))),
-            lambda: replace(sys, structure=MembraneStructure(2, {2: 1}), output=1),
+            lambda: altered(sys, structure=MembraneStructure(3, {2: 3, 3: 2})),
+            lambda: altered(sys, structure=MembraneStructure(4, {2: 1, 3: 4, 4: 3})),
+            lambda: altered(sys, structure=MembraneStructure(2)),
+            lambda: altered(sys, structure=MembraneStructure(2, {2: 9})),
+            lambda: altered(sys, structure=MembraneStructure(1, {5: 1})),
+            lambda: altered(sys, structure=MembraneStructure(rng.choice([0, -2]))),
+            lambda: altered(sys, structure=MembraneStructure(2, {2: 1}), output=1),
             lambda: adding(CellRule(rng.choice([far, 0]), SymportOut(one))),
             lambda: adding(CellRule(label, SymportOut(Multiset()))),
             lambda: adding(CellRule(label, CellAntiport(Multiset(), Multiset({"zz": 1})))),
@@ -433,7 +433,7 @@ def _defect(rng, sys):
         ]
     elif tissue:
         defects += [
-            lambda: replace(sys, n_cells=rng.choice([0, -1])),
+            lambda: altered(sys, n_cells=rng.choice([0, -1])),
             lambda: adding(TissueSymport(far, one, rng.randint(0, label))),
             lambda: adding(TissueSymport(label, one, label)),
             lambda: adding(TissueAntiport(0, Multiset(), one, label)),
@@ -442,7 +442,7 @@ def _defect(rng, sys):
         ]
     else:
         defects += [
-            lambda: replace(sys, n_cells=rng.choice([0, -1])),
+            lambda: altered(sys, n_cells=rng.choice([0, -1])),
             lambda: adding(UniportRule(name, far, label)),
             lambda: adding(InteractionRule(name, label, name, 0, -1, far)),
             lambda: adding(UniportRule("zz", label, 0)),

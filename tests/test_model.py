@@ -1,7 +1,6 @@
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -43,7 +42,7 @@ from psys.model import (
 )
 from psys.multiset import Multiset, parse_multiset
 
-from gen import random_cell_system, random_interaction_system, random_tissue_system
+from gen import altered, random_cell_system, random_interaction_system, random_tissue_system
 
 
 def ms(text):
@@ -483,7 +482,7 @@ def test_system_equality_holds_for_rules_too_long_to_write():
     (first, diagnostics), (second, _) = parse_system(text), parse_system(text)
     assert diagnostics == []
     assert first == second
-    assert first != replace(second, rules=second.rules[:1] * 2)
+    assert first != altered(second, rules=second.rules[:1] * 2)
 
 
 def test_init_drops_empty_entries():

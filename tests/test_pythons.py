@@ -2,10 +2,13 @@
 
 `engine._shuffle` copies the loop of CPython's private `Random._randbelow`,
 so a CPython that draws differently would change every seeded greedy trace
-while the tests still pass on the interpreter running them. This test finds
+while the tests still pass on the interpreter running them. These tests find
 every other CPython >= 3.10 that starts (`python3.N` on PATH and pyenv's
-`versions/*/bin/python`) and compares `_shuffle` and a few seeded
-`python -m psys run` outputs there with this interpreter's.
+`versions/*/bin/python`) and compare `_shuffle` and a few seeded
+`python -m psys run` outputs there with this interpreter's. They also
+compare the reprs of parsed systems, an `rm-verify` report and the modules
+that `import psys.cli` loads, since psys's value classes build their
+methods without `dataclasses`.
 """
 
 import os
@@ -20,9 +23,11 @@ import pytest
 from psys import dsl
 
 from gen import random_shared_system
+from test_record import IMPORT_PROBE
 
 ROOT = Path(__file__).resolve().parent.parent
 RING = ROOT / "perfbench" / "inputs" / "ring.psys"
+TRANSFER = ROOT / "perfbench" / "inputs" / "transfer.rm"
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 PROBE = (
@@ -103,3 +108,41 @@ def test_seeded_runs_agree_across_supported_pythons(tmp_path):
             assert (got.returncode, got.stdout, got.stderr) == (
                 reference.returncode, reference.stdout, reference.stderr,
             ), (version, python, argv)
+
+
+# The repr of a parsed cell, tissue and interaction system. Sets print in an
+# order that differs between versions, so they are sorted into lists first.
+REPRS = """
+import sys
+from pathlib import Path
+from psys import InteractionSystem, dsl
+CELL = "@model cell\\n@objects a b c\\n@env c\\n@membranes 1(2 3(4))\\n@init 2: a^2 b\\n"
+cell, _ = dsl.parse_system(CELL + "@rules 2: (a, out; b c, in)\\n@rules 4: (c, in)\\n@output 4\\n")
+tissue, _ = dsl.parse_system(Path(sys.argv[1]).read_text())
+rules, _ = dsl.parse_interactions("(a,1)(b,2) -> (a,2)(b,1)\\n(a,0) -> (a,2)\\n")
+interaction = InteractionSystem(["a", "b"], 2, {1: cell.init[2]}, [], rules, 2)
+for system in (cell, tissue, interaction):
+    system.alphabet, system.env_support = sorted(system.alphabet), sorted(system.env_support)
+    print(repr(system))
+"""
+
+
+def test_values_and_imports_agree_across_supported_pythons():
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 starts")
+    probes = [
+        ["-c", REPRS, str(RING)],
+        ["-m", "psys", "rm-verify", str(TRANSFER), "--bound", "8"],
+        IMPORT_PROBE,
+    ]
+    expected = [run(sys.executable, argv) for argv in probes]
+    assert [(out.returncode, out.stderr) for out in expected] == [(0, b"")] * 3
+    assert expected[0].stdout.count(b"PSystem(alphabet=") == 2
+    assert expected[2].stdout == b"[]\n"
+    for version, python in pythons:
+        for argv, reference in zip(probes, expected):
+            got = run(python, argv)
+            assert (got.returncode, got.stdout, got.stderr) == (
+                reference.returncode, reference.stdout, reference.stderr,
+            ), (version, python, argv[:2])
