@@ -279,7 +279,7 @@ class Engine:
     of the configuration they receive, which draws on the system's
     unlimited supply. A walk makes what it alone needs, each rule's net
     table and, past `explore.COMPILE_AFTER` configurations, a generated
-    scan, and keeps them to itself.
+    step, and keeps them to itself.
 
     Each rule lowers from its `model.rule_moves`, so the engine reads no
     rule form itself. Raises UnboundedStepError for the first rule, in
@@ -331,10 +331,10 @@ class Engine:
                 where = rule_location(f"rule {rule.rid}", rule_text, rule.source)
                 raise UnboundedStepError(f"{where} consumes only unlimited objects")
         self._start = tuple([start.get(pair, 0) for pair in slots])
-        # `_enabled`, the generated scan, the greedy pass and the listing read
+        # `_enabled`, the generated step, the greedy pass and the listing read
         # (index, first slot, first count, other takes), one entry per rule.
         self._scan = [(i, *need[0], need[1:]) for i, need in enumerate(self._takes)]
-        # Each rule's take slots, for `_listing`'s contention test.
+        # Each rule's take slots, for the contention tests.
         self._take_slots = [tuple([slot for slot, _ in need]) for need in self._takes]
         # The greedy pass shuffles the scan table; seeded traces pin its draws.
         self._draws = _draws(len(self._scan))
@@ -389,7 +389,7 @@ class Engine:
     def _enabled(self, pools) -> list[tuple[int, int]]:
         """(rule index, largest standalone multiplicity) of every applicable rule.
 
-        `_generated_scan` returns a function of the same output.
+        The generated step returns the same list for a vector it does not expand.
         """
         out = []
         for index, slot, count, rest in self._scan:
@@ -408,20 +408,27 @@ class Engine:
                 out.append((index, bound))
         return out
 
-    def _generated_scan(self):
-        """A straight-line function of `_enabled`'s output, made afresh.
+    def _generated_step(self, width: int):
+        """A straight-line function of a count vector of `width` slots, made afresh.
 
-        The generated function has one `if` block per rule and skips
-        the division where a take count is 1. Only slot and rule indices,
-        ints the engine made, go into the source text; every take count is
-        read from a constants tuple, so no count goes through `str()` and no
-        object name or label reaches the text. It reads the scan table
-        the loop reads, one entry per rule.
+        It returns `(successor, None)` when the enabled rules take from no
+        common slot, so each fires at its top multiplicity in the one maximal
+        step, and `(None, _enabled(p))` otherwise. An enabled rule sets its
+        `b<index>` to that multiplicity, `e`, a flag on each slot a later rule
+        takes from, and `c` on meeting an earlier rule's flag: the contention
+        test grows with the take tables. Only slot and rule indices reach the
+        text; take counts and net deltas sit in a constants tuple, unwritten.
         """
         constants: dict[int, int] = {}
-        lines = ["def _enabled(p, k=k):", " out = []"]
+        takers: dict[int, list[int]] = {}  # slot -> the rules taking from it
+        for index, slots in enumerate(self._take_slots):
+            for slot in slots:
+                takers.setdefault(slot, []).append(index)
+        bounds = [f"b{index}" for index in range(len(self._scan))]
+        flags = [f"u{slot}" for slot, rules in sorted(takers.items()) if len(rules) > 1]
+        lines = ["def _step(p, k=k):", f" {' = '.join([*bounds, *flags, 'c', 'e', '0'])}"]
         for index, *first, rest in self._scan:
-            tests, steps = [], []
+            tests, steps, marks = [], [], [f"b{index}", "e"]
             for j, (slot, count) in enumerate([first, *rest]):
                 if count == 1:
                     tests.append(f"(t{j} := p[{slot}])")
@@ -431,11 +438,33 @@ class Engine:
                     steps.append(f"  t{j} //= k[{at}]")
                 if j:
                     steps.append(f"  if t{j} < t0: t0 = t{j}")
-            lines += [f" if {' and '.join(tests)}:", *steps, f"  out.append(({index}, t0))"]
-        lines.append(" return out")
+                rules = takers[slot]
+                if rules[0] != index:
+                    steps.append(f"  if u{slot}: c = 1")
+                if rules[-1] != index:
+                    marks.append(f"u{slot}")
+            lines += [f" if {' and '.join(tests)}:", *steps, f"  {' = '.join(marks)} = t0"]
+        terms: list[list[str]] = [[] for _ in range(width)]
+        for index, net in enumerate(self._net_tables()):
+            for slot, delta in net:
+                term = f"b{index}"
+                if abs(delta) != 1:
+                    term += f" * k[{constants.setdefault(abs(delta), len(constants))}]"
+                terms[slot].append(("+ " if delta > 0 else "- ") + term)
+        # A long sum goes through sum(): a chain of `+` nests in the compiler.
+        entries = [
+            f"p[{slot}]{''.join(f' {term}' for term in added)}" if len(added) <= 64
+            else f"sum([{', '.join(added)}], p[{slot}])"
+            for slot, added in enumerate(terms)
+        ]
+        lines += [
+            " if c or not e:",
+            f"  return None, [(i, b) for i, b in enumerate([{', '.join(bounds)}]) if b]",
+            f" return ({''.join([f'{entry}, ' for entry in entries])}), None",
+        ]
         namespace = {"k": tuple(constants)}
         exec("\n".join(lines), namespace)
-        return namespace["_enabled"]
+        return namespace["_step"]
 
     def enabled(self, c: Configuration) -> list[tuple[TransferRule, int]]:
         """Rules applicable at least once, with the largest standalone multiplicity."""
@@ -474,8 +503,8 @@ class Engine:
     ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], bool]:
         """`maximal_steps` on a count vector: each step's (rule index, m) pairs.
 
-        `enabled` is `_enabled(held)`, or the generated scan's output: the
-        caller has it already.
+        `enabled` is `_enabled(held)`, or the list the generated step
+        returned: the caller has it already.
         """
         if not enabled:
             return (), True

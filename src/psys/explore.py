@@ -12,7 +12,6 @@ set. Any budget hit is reported, never silently absorbed.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 from ._record import Record, set_field
@@ -23,11 +22,11 @@ DEFAULT_MAX_DEPTH = 64
 DEFAULT_MAX_TOTAL_OBJECTS = 64
 DEFAULT_MAX_BRANCHES = 10_000
 DEFAULT_MAX_CONFIGS = 1_000_000
-# A walk whose memo reaches this many configurations scans the rest of its
-# configurations with a generated enabledness scan (`Engine._generated_scan`).
-# Generating costs about 40 µs a rule and saves about 0.03 µs a rule per
-# configuration scanned, so the scan pays for itself about a thousand
-# configurations later. Most walks are far shorter and never generate it.
+# A walk whose memo reaches this many configurations expands the rest with a
+# generated step (`Engine._generated_step`). Generating costs 35-65 µs a rule
+# (0.4-0.6 ms for `transfer`'s 9, 3-5 ms for the ring's 88); on `transfer`
+# the step takes 1.3-2.3 µs, about half, off each configuration's cost. Most
+# walks are far shorter and never generate it.
 COMPILE_AFTER = 1_000
 
 
@@ -106,85 +105,97 @@ def _walk(
     on_edge: Optional[EdgeHook] = None,
     stop_at_branching: bool = False,
 ) -> tuple[ExploreOutcome, Optional[Configuration]]:
-    """Breadth-first walk from `start`, listing, applying and memoizing count vectors.
+    """Breadth-first walk from `start`, expanding and memoizing count vectors.
 
-    `start` is lowered once onto the engine's layout, and every successor
-    keeps that one layout, so the memo set and the queue hold bare count
-    tuples: equal tuples are equal contents. The walk scans each
-    configuration once with `Engine._enabled`, which decides halting, and
-    hands the enabled rules to `Engine._listing`. It adds the engine's net
-    tables, made at its first expansion, to build each successor. Once the
-    memo holds `COMPILE_AFTER` configurations the walk scans with
-    `Engine._generated_scan()` instead; the engine itself never changes.
-    It makes a `Configuration` only for the witness, for each halting
-    leaf's result and, with `on_edge`, for each expanded configuration and
-    successor, and a `StepChoice` only for `on_edge`.
+    `start` is lowered once onto the engine's layout, which every successor
+    keeps, so the memo set and the per-depth lists hold bare count tuples:
+    equal tuples are equal contents. Each successor is hashed once, as it
+    joins the memo. `Engine._enabled` scans a configuration, deciding
+    halting, `Engine._listing` lists its steps and the net tables build the
+    successors. Once the memo holds `COMPILE_AFTER` configurations,
+    `Engine._generated_step` expands instead: it returns the one successor
+    of a configuration whose enabled rules contend for no slot, and only
+    the others go to the listing. The engine never changes. A
+    `Configuration` is made only for the witness, for each halting leaf's
+    result and, with `on_edge`, for each edge's ends; a `StepChoice` only
+    for `on_edge`.
 
     With `stop_at_branching` the walk ends at the first configuration
     admitting more than one maximal step and returns it as the witness,
     the second element; otherwise the witness is None.
     """
     results: set[int] = set()
-    halting_leaves = 0
-    cut_branches = 0
-    witness = None
+    halting_leaves = cut_branches = 0
+    witness = nets = None
     layout, counts = engine._counts(start)
-    listing, enabled, nets = engine._listing, engine._enabled, None
-    of = Configuration._of
-    output = engine.output
+    listing, enabled = engine._listing, engine._enabled
+    step = lambda counts: (None, enabled(counts))
+    of, output = Configuration._of, engine.output
     max_depth, max_total = budget.max_depth, budget.max_total_objects
     max_branches, max_configs = budget.max_branches, budget.max_configs
-    visited = {counts}
-    queue: deque[tuple[tuple[int, ...], int]] = deque([(counts, 0)])
-    while queue:
-        counts, depth = queue.popleft()
-        fits = enabled(counts)
-        if not fits:
-            halting_leaves += 1
-            results.add(of(layout, counts).region_size(output))
-            continue
-        over = sum(counts) > max_total
-        # Past the object budget only halting counts, so the listing is
-        # skipped, unless several steps there would make it the witness.
-        if stop_at_branching or not over:
-            steps, complete = listing(counts, fits, max_branches)
-            if stop_at_branching and len(steps) > 1:
-                witness = of(layout, counts)
-                break
-        if over:
-            cut_branches += 1
-            continue
-        if not complete:
-            cut_branches += 1
-        if depth >= max_depth:
-            cut_branches += 1
-            continue
-        if nets is None:
-            nets = engine._net_tables()
-        config = None if on_edge is None else of(layout, counts)
-        for applications in steps:
-            pools = list(counts)
-            for index, m in applications:
-                for slot, delta in nets[index]:
-                    pools[slot] += m * delta
-            successor = tuple(pools)
-            if config is not None:
-                on_edge(config, StepChoice(applications), of(layout, successor))
-            if successor in visited:
+    visited, size, level, depth = {counts}, 1, [counts], 0
+    while level and witness is None:
+        deeper = []
+        for counts in level:
+            successor, fits = step(counts)
+            if successor is not None:
+                if sum(counts) > max_total or depth >= max_depth:
+                    cut_branches += 1
+                    continue
+                successors = (successor,)
+                steps = (tuple(enabled(counts)),) if on_edge is not None else ()
+            elif not fits:
+                halting_leaves += 1
+                results.add(of(layout, counts).region_size(output))
                 continue
-            if len(visited) >= max_configs:
-                cut_branches += 1
-                continue
-            visited.add(successor)
-            queue.append((successor, depth + 1))
-            if len(visited) == COMPILE_AFTER:
-                enabled = engine._generated_scan()
+            else:
+                over = sum(counts) > max_total
+                # Past the object budget only halting counts, so the listing is
+                # skipped, unless several steps there would make it the witness.
+                if stop_at_branching or not over:
+                    steps, complete = listing(counts, fits, max_branches)
+                    if stop_at_branching and len(steps) > 1:
+                        witness = of(layout, counts)
+                        break
+                if over:
+                    cut_branches += 1
+                    continue
+                if not complete:
+                    cut_branches += 1
+                if depth >= max_depth:
+                    cut_branches += 1
+                    continue
+                nets = nets or engine._net_tables()
+                successors = []
+                for applications in steps:
+                    pools = list(counts)
+                    for index, m in applications:
+                        for slot, delta in nets[index]:
+                            pools[slot] += m * delta
+                    successors.append(tuple(pools))
+            if on_edge is not None:
+                config = of(layout, counts)
+                for applications, successor in zip(steps, successors):
+                    on_edge(config, StepChoice(applications), of(layout, successor))
+            for successor in successors:
+                visited.add(successor)
+                if len(visited) == size:
+                    continue
+                if size >= max_configs:
+                    visited.discard(successor)
+                    cut_branches += 1
+                    continue
+                size += 1
+                deeper.append(successor)
+                if size == COMPILE_AFTER:
+                    step = engine._generated_step(len(counts))
+        level, depth = deeper, depth + 1
     outcome = ExploreOutcome(
         results=frozenset(results),
         exhausted=cut_branches == 0,
         halting_leaves=halting_leaves,
         cut_branches=cut_branches,
-        visited_configs=len(visited),
+        visited_configs=size,
     )
     return outcome, witness
 

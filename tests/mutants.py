@@ -1,19 +1,22 @@
-"""One-point mutation audit of the breadth-first walk.
+"""One-point mutation audit of the breadth-first walk and its engine loops.
 
 Makes every one-point mutant of `psys.explore._walk` and
-`psys.explore.check_deterministic`: a comparison swapped (`<` and `<=`,
+`psys.explore.check_deterministic`, then of `Engine._generated_step` and
+`Engine._listing` in `psys.engine`: a comparison swapped (`<` and `<=`,
 `>` and `>=`, `==` and `!=`, `is` and `is not`, `in` and `not in`), a
 `+` turned into `-` or back (in augmented assignments too, so `+= 1`
 becomes `-= 1`), or an int constant raised by one (so `+= 1` also
 becomes `+= 2`). Each mutant is written into a temporary copy of the
-tree, and `tests/test_explore.py` and `tests/test_golden.py` run against
-it from inside that copy, since `pyproject.toml`'s pytest `pythonpath`
-wins over `PYTHONPATH`. A mutant the tests fail on, or time out on, is
-killed.
+tree, and its module's tests run against it from inside that copy, since
+`pyproject.toml`'s pytest `pythonpath` wins over `PYTHONPATH`: the walk's
+mutants meet `tests/test_explore.py` and `tests/test_golden.py`, the
+engine's `tests/test_engine.py` and `tests/test_rm.py`. A mutant the tests
+fail on, or time out on, is killed.
 
 A surviving mutant must be on EQUIVALENT, with the reason it cannot
-change what the walk returns. Any other survivor, and any EQUIVALENT
-entry that no longer names a surviving mutant, makes the script exit 1.
+change what the mutated function returns. Any other survivor, and any
+EQUIVALENT entry that no longer names a surviving mutant, makes the
+script exit 1.
 
 Run it from anywhere as `python tests/mutants.py`. It tests one mutant
 at a time, a few seconds each, and prints each mutant's name and fate.
@@ -34,12 +37,22 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = Path("src/psys/explore.py")
-TARGETS = ("_walk", "check_deterministic")
-TESTS = ("tests/test_explore.py", "tests/test_golden.py")
-COPIED = ("src", "tests", "README.md", "pyproject.toml")
+# (module, its mutated functions, the tests run against each mutant)
+AUDITS = (
+    (
+        Path("src/psys/explore.py"),
+        ("_walk", "check_deterministic"),
+        ("tests/test_explore.py", "tests/test_golden.py"),
+    ),
+    (
+        Path("src/psys/engine.py"),
+        ("_generated_step", "_listing"),
+        ("tests/test_engine.py", "tests/test_rm.py"),
+    ),
+)
+COPIED = ("src", "tests", "perfbench/inputs", "README.md", "pyproject.toml")
 MEMORY_LIMIT = 1 << 30
-TIMEOUT = 60  # seconds; the two files take about 3.5 s unmutated
+TIMEOUT = 60  # seconds; each pair of files takes about 5 s unmutated
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -55,9 +68,31 @@ SYMBOLS = {
 # Mutants that survive because they cannot change any outcome, verdict or
 # witness, each with the reason.
 EQUIVALENT = {
-    "_walk: `if len(visited) == COMPILE_AFTER:` == -> !=": (
-        "the walk makes a generated scan afresh for almost every new successor; "
-        "it returns what `Engine._enabled` returns, so only the cost changes"
+    "_walk: `if size == COMPILE_AFTER:` == -> !=": (
+        "the walk makes a generated step afresh for almost every new successor; "
+        "each is the same function of the same width, so only the cost changes"
+    ),
+    "_generated_step: `flags = [f\"u{slot}\" for slot, rules in sorted(takers.items()) "
+    "if len(rules) > 1]` > -> >=": (
+        "a slot only one rule takes from also gets a flag, set to 0 and never read"
+    ),
+    "_generated_step: `terms[slot].append((\"+ \" if delta > 0 else \"- \") + term)` > -> >=": (
+        "net tables drop zero deltas, so no delta is 0"
+    ),
+    "_generated_step: `f\"p[{slot}]{''.join(f' {term}' for term in added)}\" "
+    "if len(added) <= 64` 64 -> 65": (
+        "a slot with 65 terms is summed by a chain of `+` instead of sum(): the same value"
+    ),
+    "_generated_step: `f\"p[{slot}]{''.join(f' {term}' for term in added)}\" "
+    "if len(added) <= 64` <= -> <": (
+        "a slot with 64 terms is summed by sum() instead of a chain of `+`: the same value"
+    ),
+    "_listing: `counts = [0] * len(needs)` 0 -> 1": (
+        "the first descent starts at position 0 and sets every count"
+    ),
+    "_listing: `if fits < m:` < -> <=": "m takes the value it already has",
+    "_listing: `for i in range(start - 1, -1, -1):` 1 -> 2 #2": (
+        "the test also reaches needs[-1], the last rule, which sits at its top and never fits"
     ),
 }
 
@@ -66,14 +101,14 @@ class Mutator(ast.NodeTransformer):
     """Counts the mutation sites of the target functions in source order and
     applies the one numbered `chosen`, recording every site's name."""
 
-    def __init__(self, lines: list[str], chosen: int = -1):
-        self.lines, self.chosen = lines, chosen
+    def __init__(self, targets: tuple[str, ...], lines: list[str], chosen: int = -1):
+        self.targets, self.lines, self.chosen = targets, lines, chosen
         self.names: list[str] = []
         self.seen: Counter[str] = Counter()
         self.function = None
 
     def visit_FunctionDef(self, node):
-        if node.name not in TARGETS:
+        if node.name not in self.targets:
             return node
         self.function = node.name
         node.body = [self.visit(statement) for statement in node.body]
@@ -116,9 +151,9 @@ class Mutator(ast.NodeTransformer):
         return node
 
 
-def mutant(source: str, chosen: int = -1) -> tuple[str, list[str]]:
-    """The module with site `chosen` mutated, and the names of all sites."""
-    mutator = Mutator(source.splitlines(), chosen)
+def mutant(source: str, targets: tuple[str, ...], chosen: int = -1) -> tuple[str, list[str]]:
+    """The module with site `chosen` of `targets` mutated, and the names of all sites."""
+    mutator = Mutator(targets, source.splitlines(), chosen)
     tree = ast.fix_missing_locations(mutator.visit(ast.parse(source)))
     return ast.unparse(tree), mutator.names
 
@@ -127,11 +162,11 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_tests(tree: Path) -> str:
-    """Run the tests on the module as it stands in `tree`: passed, failed or timed out."""
+def run_tests(tree: Path, tests: tuple[str, ...]) -> str:
+    """Run `tests` on the tree as it stands: passed, failed or timed out."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
             argv, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT,
@@ -143,8 +178,6 @@ def run_tests(tree: Path) -> str:
 
 
 def main() -> int:
-    source = (ROOT / MODULE).read_text(encoding="utf-8")
-    unmutated, names = mutant(source)
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch)
         for name in COPIED:
@@ -152,19 +185,24 @@ def main() -> int:
             copy(ROOT / name, tree / name)
         for cache in list(tree.rglob("__pycache__")):
             shutil.rmtree(cache)
-        target = tree / MODULE
-        target.write_text(unmutated, encoding="utf-8")
-        if run_tests(tree) != "passed":
-            print("the tests do not pass on the unmutated module; nothing to audit")
-            return 2
-        survivors = []
-        for index, name in enumerate(names):
-            target.write_text(mutant(source, index)[0], encoding="utf-8")
-            result = run_tests(tree)
-            verdict = "SURVIVED" if result == "passed" else "killed"
-            print(f"{verdict} ({result}): {name}", flush=True)
-            if result == "passed":
-                survivors.append(name)
+        names, survivors = [], []
+        for module, targets, tests in AUDITS:
+            source = (ROOT / module).read_text(encoding="utf-8")
+            unmutated, sites = mutant(source, targets)
+            target = tree / module
+            target.write_text(unmutated, encoding="utf-8")
+            if run_tests(tree, tests) != "passed":
+                print(f"the tests do not pass on the unmutated {module}; nothing to audit")
+                return 2
+            for index, name in enumerate(sites):
+                target.write_text(mutant(source, targets, index)[0], encoding="utf-8")
+                result = run_tests(tree, tests)
+                verdict = "SURVIVED" if result == "passed" else "killed"
+                print(f"{verdict} ({result}): {name}", flush=True)
+                if result == "passed":
+                    survivors.append(name)
+            target.write_text(unmutated, encoding="utf-8")
+            names += sites
     unexplained = [name for name in survivors if name not in EQUIVALENT]
     stale = [name for name in EQUIVALENT if name not in survivors]
     print(f"{len(names)} mutants: {len(names) - len(survivors)} killed, {len(survivors)} survived")

@@ -189,7 +189,6 @@ def test_enabled_and_steps_agree_with_the_oracle_on_each_scan_branch():
     for (outs, contents), compiled in product(SCAN_BRANCHES, (False, True)):
         sys = cell([CellRule(1, SymportOut(ms(out))) for out in outs], init="empty")
         eng = Engine(sys)
-        generated = eng._generated_scan()
         # zz is outside the alphabet: the input gets a slot appended to the layout.
         inputs = [ms(contents), ms(contents + " zz")]
         inputs += [Multiset(rng.choices(names, k=rng.randint(0, 7))) for _ in range(30)]
@@ -198,16 +197,23 @@ def test_enabled_and_steps_agree_with_the_oracle_on_each_scan_branch():
             appended += c._layout is not eng._layout
             regions, env_finite = state_of(sys, c)
             bounds = [standalone_bound(rule, regions, env_finite, ()) for rule in norm_rules(sys)]
+            expected = maximal_steps_oracle(sys, regions, env_finite)
+            enabled = [(i, bound) for i, bound in enumerate(bounds) if bound]
             if compiled:
-                # The generated scan's output, handed to the listing as a walk does.
-                got = generated(c._counts)
+                # The generated step, followed as a walk follows it: its one
+                # successor, or its enabled rules handed to the listing.
+                successor, got = eng._generated_step(len(c._counts))(c._counts)
+                if successor is not None:
+                    assert expected == {frozenset(enabled)}, (outs, objects)
+                    after = eng.apply(c, StepChoice(tuple(enabled)))
+                    assert successor == after._counts, (outs, objects)
+                    continue
                 listed, complete = eng._listing(c._counts, got, 10_000)
                 steps = tuple(map(StepChoice, listed))
             else:
                 got = [(rule.index, m) for rule, m in eng.enabled(c)]
                 steps, complete = eng.maximal_steps(c)
-            assert got == [(i, bound) for i, bound in enumerate(bounds) if bound], (outs, objects)
-            expected = maximal_steps_oracle(sys, regions, env_finite)
+            assert got == enabled, (outs, objects)
             assert complete and choice_set(steps) == expected, (outs, objects)
     assert appended >= 2 * len(SCAN_BRANCHES)
 
@@ -330,6 +336,25 @@ def test_work_limit_cuts_a_listing_at_a_fixed_leaf():
         for sides in product((0, 1), repeat=10)
     }
     assert choice_set(whole) == expected
+
+
+def test_work_limit_stops_a_listing_after_exactly_65536_leaves():
+    # r1 and r3 take a, of which there are 600; r2, between them, takes one
+    # of 127 b. The leaves run with r1 from 600 down and, under each count
+    # of r1, r2 from 127 down, r3 taking the rest of a: 128 leaves per count
+    # of r1, of which only the first is maximal (below 127, r2 could fire
+    # once more). At cap 1,024 the work limit is max(1,024 * 64, 65,536) =
+    # 65,536 leaves: the listing stops after 512 blocks, just before leaf
+    # 65,537, the 513th maximal one. At cap 2,000 all 76,928 leaves fit.
+    h = 600
+    rules = [CellRule(1, SymportOut(ms(objects))) for objects in ("a", "b", "a")]
+    eng = Engine(cell(rules, init=f"a^{h} b^127", alphabet=("a", "b")))
+    cut, complete = eng.maximal_steps(eng.initial(), cap=1_024)
+    assert not complete
+    expected = [((0, h), (1, 127))] + [((0, h - j), (1, 127), (2, j)) for j in range(1, 512)]
+    assert [choice.applications for choice in cut] == expected
+    whole, complete = eng.maximal_steps(eng.initial(), cap=2_000)
+    assert complete and len(whole) == h + 1 and whole[:512] == cut
 
 
 RING = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "ring.psys"
@@ -1107,61 +1132,87 @@ def test_inside_total_sums_the_regions():
         assert c.total_inside == sum(region.size for region in c.regions.values())
 
 
-# ---------------------------------------------------------------- generated scan
+# ---------------------------------------------------------------- generated step
 
 
-def _scans(eng):
-    """The loop's `_enabled` and the generated scan, a plain function."""
-    generated = eng._generated_scan()
-    assert isinstance(generated, types.FunctionType)
-    return eng._enabled, generated
+def _expected_step(eng, counts):
+    """What the generated step owes `counts`, from the loop, the listing and
+    the net tables: the successor when the enabled rules take from no common
+    slot, else the enabled rules."""
+    enabled = eng._enabled(counts)
+    taken = [slot for index, _ in enabled for slot in eng._take_slots[index]]
+    if not enabled or len(taken) > len(set(taken)):
+        return None, enabled
+    assert eng._listing(counts, enabled, 10_000) == ((tuple(enabled),), True)
+    pools = list(counts)
+    nets = eng._net_tables()
+    for index, m in enabled:
+        for slot, delta in nets[index]:
+            pools[slot] += m * delta
+    return tuple(pools), None
 
 
-def test_generated_scan_equals_the_loop_on_random_systems():
+def _generated(eng, counts):
+    step = eng._generated_step(len(counts))
+    assert isinstance(step, types.FunctionType)
+    return step
+
+
+def test_generated_step_equals_the_loop_on_random_systems():
     rng = random.Random(73)
-    compared = several = 0
+    compared = Counter()
     for seed in range(400):
         sys = random_system(random.Random(seed))
         eng = Engine(sys)
-        loop, generated = _scans(eng)
+        base = _generated(eng, eng._start)
         trace = eng.run(seed, max_steps=4, policy="greedy-random")
         names = sorted(sys.alphabet)
         region = rng.choice(list(eng.labels))
-        extra = eng.initial(Multiset(rng.choices(names, k=rng.randint(1, 6))), region)
+        extra = eng.initial(Multiset(rng.choices(names + ["zz"], k=rng.randint(1, 6))), region)
         for c in (*trace.configurations(), extra):
             counts = eng._counts(c)[1]
-            assert generated(counts) == loop(counts), (seed, c)
-            compared += 1
-            several += len(loop(counts)) > 1
-    assert compared >= 900 and several >= 80, (compared, several)
+            step = base if len(counts) == len(eng._start) else _generated(eng, counts)
+            got = step(counts)
+            assert got == _expected_step(eng, counts), (seed, c)
+            several = len(eng._enabled(counts)) > 1
+            compared["one step" if got[0] else "contended" if got[1] else "halted"] += 1
+            compared["one step of several rules"] += several and got[0] is not None
+            compared["appended"] += step is not base
+    assert compared["one step"] >= 300 and compared["contended"] >= 50, compared
+    assert compared["one step of several rules"] >= 25, compared
+    assert compared["halted"] >= 500 and compared["appended"] >= 300, compared
 
 
-def test_generated_scan_equals_the_loop_on_ring_configurations():
+def test_generated_step_equals_the_loop_on_ring_configurations():
     eng = Engine(parse_system(RING.read_text(encoding="utf-8"))[0])
-    loop, generated = _scans(eng)
+    step = _generated(eng, eng._start)
     trace = eng.run(7, max_steps=1_999, policy="greedy-random")
     configurations = list(trace.configurations())
     assert len(configurations) == 2_000
     for c in configurations:
-        assert generated(c._counts) == loop(c._counts)
+        assert step(c._counts) == _expected_step(eng, c._counts)
 
 
-def test_generated_scan_reads_counts_past_the_digit_limit():
-    # A take count of 4,301 digits goes through no str(): it sits in the
-    # constants tuple the generated code reads.
+def test_generated_step_reads_counts_past_the_digit_limit():
+    # A take count and net delta of 4,301 digits go through no str(): they
+    # sit in the constants tuple the generated code reads.
     huge = 10 ** (sys.get_int_max_str_digits() + 1) - 1
     rules = [CellRule(1, SymportOut(Multiset({"a": huge}))), CellRule(1, SymportOut(ms("b^3")))]
     init = {1: Multiset({"a": huge - 1})}
     eng = Engine(CellPSystem(["a", "b"], MembraneStructure(1), init, (), rules, 1))
-    loop, generated = _scans(eng)
-    assert generated(eng.initial()._counts) == []
+    step = _generated(eng, eng._start)
+    assert huge in step.__defaults__[0]
+    assert step(eng.initial()._counts) == (None, [])
     for a, b in product((0, 1, huge, 2 * huge + 1), (0, 2, 7)):
         counts = eng.initial(Multiset({"a": a, "b": b}), 1)._counts
-        assert generated(counts) == loop(counts)
-    assert generated(eng.initial(Multiset({"a": huge + 2, "b": 7}), 1)._counts) == [(0, 2), (1, 2)]
+        assert step(counts) == _expected_step(eng, counts)
+    successor, _ = step(eng.initial(Multiset({"a": huge + 2, "b": 7}), 1)._counts)
+    # Slots in (node, name) order: env a, env b, then region 1's a and b.
+    assert successor == (2 * huge, 6, 1, 1)
 
 
-def test_generated_scan_source_holds_no_object_name_or_label(monkeypatch):
+def _sources(monkeypatch):
+    """The source texts `exec` is given in the engine from now on."""
     sources = []
 
     def spy(text, namespace):
@@ -1169,6 +1220,11 @@ def test_generated_scan_source_holds_no_object_name_or_label(monkeypatch):
         exec(text, namespace)
 
     monkeypatch.setattr(engine_module, "exec", spy, raising=False)
+    return sources
+
+
+def test_generated_step_source_holds_no_object_name_or_label(monkeypatch):
+    sources = _sources(monkeypatch)
     names = ["Apple", "Berry", "Cider"]
     rules = [
         TissueAntiport(70, Multiset({"Apple": 2, "Berry": 1}), ms("Cider"), 0),
@@ -1177,49 +1233,72 @@ def test_generated_scan_source_holds_no_object_name_or_label(monkeypatch):
     ]
     init = {70: ms("Apple^4 Berry"), 90: ms("Cider^5")}
     eng = Engine(TissuePSystem(names, 90, init, (), rules, 70))
-    loop, generated = _scans(eng)
+    step = _generated(eng, eng._start)
     (source,) = sources
     words = set(re.findall(r"[A-Za-z_]\w*", source))
-    keywords = {"def", "_enabled", "p", "k", "out", "append", "if", "and", "return"}
-    assert words <= keywords | {"t0", "t1", "t2"}, words
+    keywords = {"def", "_step", "p", "k", "if", "and", "or", "not", "return", "None"}
+    keywords |= {"c", "e", "i", "b", "for", "in", "enumerate"}
+    assert all(word in keywords or re.fullmatch(r"[btu]\d+", word) for word in words), words
     # Every literal is a slot or rule index, so neither label 70 nor 90
-    # appears; the take counts other than 1 sit in the constants tuple.
+    # appears; take counts and net deltas other than 1 sit in the constants.
     assert max(map(int, re.findall(r"\b\d+\b", source))) < len(eng._layout.slots) < 70
-    assert generated.__defaults__ == ((2, 5),)
-    assert generated(eng.initial()._counts) == loop(eng.initial()._counts)
+    assert set(step.__defaults__[0]) == {2, 5}
+    assert step(eng.initial()._counts) == _expected_step(eng, eng.initial()._counts)
+
+
+def test_generated_step_tests_contention_in_linear_size(monkeypatch):
+    # Rule i sends a and x_i out, so all rules take from a's slot. Testing
+    # each pair of enabled rules would take 4,950 tests for 100 rules; a
+    # mark per shared slot takes one test and one mark per rule.
+    sources = _sources(monkeypatch)
+    for n in (100, 3_000):
+        xs = [f"x{i}" for i in range(n)]
+        rules = [CellRule(1, SymportOut(ms(f"a {x}"))) for x in xs]
+        eng = Engine(CellPSystem(["a", *xs], MembraneStructure(1), {1: ms("a")}, (), rules, 1))
+        step = _generated(eng, eng._start)
+        assert sources[-1].count("c = 1") == n - 1
+        assert len(sources[-1]) < 200 * n
+        rng = random.Random(n)
+        for held in range(60):
+            objects = Multiset({"a": rng.randint(0, 3), **{x: 1 for x in rng.sample(xs, held % 4)}})
+            counts = eng.initial(objects, 1)._counts
+            assert step(counts) == _expected_step(eng, counts), objects
 
 
 def test_walks_give_equal_outcomes_with_the_scan_generated_or_not(monkeypatch):
     budget = ExploreBudget(max_depth=10_000, max_total_objects=32 * 2 + 2)
     calls = []
-    generate = Engine._generated_scan
+    generate = Engine._generated_step
 
-    def spy(eng):
-        calls.append(eng)
-        return generate(eng)
+    def spy(eng, width):
+        calls.append(width)
+        return generate(eng, width)
 
-    monkeypatch.setattr(Engine, "_generated_scan", spy)
+    monkeypatch.setattr(Engine, "_generated_step", spy)
     default_after = explore_module.COMPILE_AFTER
     for machine in verification_suite():
-        system = compile_machine(machine).system
-        monkeypatch.setattr(explore_module, "COMPILE_AFTER", 10**9)
-        loop_outcome = explore(system, budget)
-        assert calls == []
-        # Forced: the walk generates the scan at its second configuration.
-        monkeypatch.setattr(explore_module, "COMPILE_AFTER", 2)
-        assert explore(system, budget) == loop_outcome, machine
-        assert len(calls) == (loop_outcome.visited_configs >= 2)
-        calls.clear()
-        # Left to itself a walk generates the scan once, when its memo is large.
-        monkeypatch.setattr(explore_module, "COMPILE_AFTER", default_after)
-        assert explore(system, budget) == loop_outcome
-        assert len(calls) == (loop_outcome.visited_configs >= default_after)
-        calls.clear()
-    assert loop_outcome.visited_configs >= default_after  # transfer
+        engine = Engine(compile_machine(machine).system)
+        # zz is outside the engine's layout, so that walk's vectors are wider.
+        for start in (engine.initial(), engine.initial(ms("zz"), 1)):
+            monkeypatch.setattr(explore_module, "COMPILE_AFTER", 10**9)
+            loop_outcome = explore(engine, budget, start=start)
+            assert calls == []
+            # Forced: the walk generates the step at its second configuration.
+            monkeypatch.setattr(explore_module, "COMPILE_AFTER", 2)
+            assert explore(engine, budget, start=start) == loop_outcome, machine
+            assert calls == [len(start._counts)] * (loop_outcome.visited_configs >= 2)
+            calls.clear()
+            # Left to itself a walk generates the step once, when its memo is large.
+            monkeypatch.setattr(explore_module, "COMPILE_AFTER", default_after)
+            assert explore(engine, budget, start=start) == loop_outcome
+            assert len(calls) == (loop_outcome.visited_configs >= default_after)
+            calls.clear()
+    assert loop_outcome.visited_configs >= default_after  # transfer, from zz
+    assert len(start._counts) == len(engine._start) + 1
 
 
 def test_no_call_changes_the_engine():
-    # A walk keeps its net tables and generated scan to itself, so what a
+    # A walk keeps its net tables and generated step to itself, so what a
     # call computes never depends on what ran on the engine before.
     eng = Engine(compile_machine(transfer()).system)
     built = dict(vars(eng))

@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 
@@ -314,6 +315,24 @@ def test_walk_matches_a_walk_memoizing_configurations():
     assert cut >= 60 and witnesses >= 60, (cut, witnesses)
     assert revisits >= 400 and branching >= 60, (revisits, branching)
     assert capped_cuts >= 80, capped_cuts
+
+
+def test_walk_matches_a_walk_memoizing_configurations_with_the_generated_step(monkeypatch):
+    # The same walks, each following `Engine._generated_step` from its second
+    # configuration on: one-step configurations skip the listing, and their
+    # edges must still carry every enabled rule at its top multiplicity.
+    # Starts with input objects outside the alphabet get a wider step.
+    widths = Counter()
+    generate = Engine._generated_step
+
+    def spy(eng, width):
+        widths[width > len(eng._start)] += 1
+        return generate(eng, width)
+
+    monkeypatch.setattr(Engine, "_generated_step", spy)
+    monkeypatch.setattr(importlib.import_module("psys.explore"), "COMPILE_AFTER", 2)
+    test_walk_matches_a_walk_memoizing_configurations()
+    assert widths[False] >= 500 and widths[True] >= 500, widths
 
 
 def test_walk_without_a_hook_makes_no_public_engine_call(monkeypatch):

@@ -428,7 +428,8 @@ def _halts(m, bound):
 
 
 def test_verify_generated_machines(monkeypatch):
-    # Walks keep the loop scan unless forced, so both scans are compared.
+    # Walks keep the loop unless forced, so the loop and the generated step
+    # are both compared.
     explore_module = importlib.import_module("psys.explore")
     seen = {"ok": 0, "inconclusive": 0, "outside normal form": 0}
     budget = ExploreBudget(max_depth=10_000, max_total_objects=2 * 4 + 2)
