@@ -8,6 +8,10 @@ halting descendants were or will be collected from the first visit.
 When no budget is hit the computation tree has been enumerated in full
 and the collected results are exactly the system's generated number
 set. Any budget hit is reported, never silently absorbed.
+
+`psys/__init__.py` binds the function `explore` over this module's name,
+so `m.COMPILE_AFTER = 2` after `import psys.explore as m` changes no walk;
+set it on `importlib.import_module("psys.explore")`.
 """
 
 from __future__ import annotations

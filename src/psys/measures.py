@@ -16,12 +16,10 @@ from .model import (
     CellPSystem,
     CellRule,
     InteractionRule,
-    SymportIn,
-    SymportOut,
     TissuePSystem,
     TissueRule,
-    TissueSymport,
     UniportRule,
+    rule_sides,
 )
 
 
@@ -50,16 +48,11 @@ class RuleClass(enum.Enum):
 
 
 def cell_rule_size(rule: CellRule) -> int:
-    form = rule.form
-    if isinstance(form, (SymportIn, SymportOut)):
-        return form.objects.size
-    return max(form.outbound.size, form.inbound.size)
+    return max(side.size for side in rule_sides(rule.form))
 
 
 def tissue_rule_size(rule: TissueRule) -> int:
-    if isinstance(rule, TissueSymport):
-        return rule.objects.size
-    return rule.outbound.size + rule.inbound.size
+    return sum(side.size for side in rule_sides(rule))
 
 
 class ComplexityProfile(Record):
@@ -84,7 +77,7 @@ def profile(sys: Union[CellPSystem, TissuePSystem]) -> ComplexityProfile:
     size = cell_rule_size if cell else tissue_rule_size
     sym = anti = 0
     for rule in sys.rules:
-        if isinstance(rule.form if cell else rule, (SymportIn, SymportOut, TissueSymport)):
+        if len(rule_sides(rule.form if cell else rule)) == 1:  # a symport
             sym = max(sym, size(rule))
         else:
             anti = max(anti, size(rule))

@@ -336,13 +336,17 @@ def cell_rule_text(rule: CellRule) -> str:
     return f"({format_multiset(form.outbound)}, out; {format_multiset(form.inbound)}, in)"
 
 
+def rule_sides(form: Union[CellRuleForm, TissueRule]) -> tuple[Multiset, ...]:
+    """`(outbound, inbound)` for an antiport, `(objects,)` for a symport: the one
+    test of whether a cell rule's form or a tissue rule moves one multiset or two."""
+    if isinstance(form, (CellAntiport, TissueAntiport)):
+        return form.outbound, form.inbound
+    return (form.objects,)
+
+
 def tissue_rule_text(rule: TissueRule) -> str:
-    if isinstance(rule, TissueSymport):
-        return f"({rule.src}, {format_multiset(rule.objects)}, {rule.dst})"
-    return (
-        f"({rule.src}, {format_multiset(rule.outbound)} / "
-        f"{format_multiset(rule.inbound)}, {rule.dst})"
-    )
+    sides = " / ".join(map(format_multiset, rule_sides(rule)))
+    return f"({rule.src}, {sides}, {rule.dst})"
 
 
 def interaction_rule_text(rule: Union[InteractionRule, UniportRule]) -> str:
@@ -393,11 +397,7 @@ _UNLIMITED_PULL = {
 
 def _check_move(form, src: Optional[int], sys, where: str, out: list[Violation]):
     """A symport or antiport, cell form or tissue rule, that moves objects out of `src`."""
-    if isinstance(form, (CellAntiport, TissueAntiport)):
-        sides = (form.outbound, form.inbound)
-    else:
-        sides = (form.objects,)
-    for side in sides:
+    for side in rule_sides(form):
         if not side:
             out.append(Violation(EMPTY_RULE_SIDE, where, "rule sides must be non-empty"))
         _check_objects(side, sys.alphabet, where, out)
@@ -556,10 +556,9 @@ def rule_moves(sys: PSystem, rule: Rule) -> list[tuple[int, Multiset, int]]:
             (rule.src_a, Multiset([rule.obj_a]), rule.dst_a),
             (rule.src_b, Multiset([rule.obj_b]), rule.dst_b),
         ]
-    # A symport or antiport, cell form or tissue rule, across src -> dst.
-    if isinstance(form, (CellAntiport, TissueAntiport)):
-        return [(src, form.outbound, dst), (dst, form.inbound, src)]
-    return [(src, form.objects, dst)]
+    # A symport or antiport across src -> dst; an antiport's inbound goes back.
+    outbound, *inbound = rule_sides(form)
+    return [(src, outbound, dst)] + [(dst, side, src) for side in inbound]
 
 
 def cell_channel(structure: MembraneStructure, rule: CellRule) -> tuple[int, int]:
@@ -588,11 +587,9 @@ def encode_cell_as_tissue(sys: CellPSystem) -> TissuePSystem:
     rules: list[TissueRule] = []
     for rule in sys.rules:
         src, dst = cell_channel(sys.structure, rule)
-        form = rule.form
-        if isinstance(form, CellAntiport):
-            rules.append(TissueAntiport(src, form.outbound, form.inbound, dst))
-        else:
-            rules.append(TissueSymport(src, form.objects, dst))
+        sides = rule_sides(rule.form)
+        kind = TissueAntiport if len(sides) == 2 else TissueSymport
+        rules.append(kind(src, *sides, dst))
     return TissuePSystem(
         alphabet=sys.alphabet,
         n_cells=sys.structure.n,

@@ -43,8 +43,9 @@ def quoted(text: str) -> str:
 
 
 def is_valid_name(name: str) -> bool:
-    """Object names are ASCII identifiers."""
-    return bool(NAME_PATTERN.match(name))
+    """Object names are ASCII identifiers other than `empty`, the empty
+    multiset's literal: one object so named would print and parse back as nothing."""
+    return name != EMPTY_WORD and bool(NAME_PATTERN.match(name))
 
 
 class Multiset:

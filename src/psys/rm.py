@@ -27,6 +27,7 @@ from .model import (
     CellRule,
     MembraneStructure,
     SymportOut,
+    rule_sides,
 )
 from .multiset import Multiset, is_valid_name
 
@@ -99,7 +100,7 @@ def machine_problems(m: RegisterMachine) -> list[str]:
         out.append("no instructions")
     for label in m.instructions:
         if not is_valid_name(label):
-            out.append(f"label {label!r} is not a valid identifier")
+            out.append(f"label {label!r} is not a valid object name")
     if m.start not in m.instructions:
         out.append(f"start label {m.start!r} is not defined")
     for label, ins in sorted(m.instructions.items()):
@@ -256,7 +257,7 @@ def compile_machine(m: RegisterMachine) -> CompiledSystem:
         output=1,
     )
     certificate = max(
-        (cell_rule_size(rule) for rule in rules if isinstance(rule.form, CellAntiport)),
+        (cell_rule_size(rule) for rule in rules if len(rule_sides(rule.form)) == 2),
         default=0,
     )
     return CompiledSystem(system=system, symbol_map=symbol_map, certificate=certificate)

@@ -1,17 +1,18 @@
-"""One-point mutation audit of the breadth-first walk and its engine loops.
+"""One-point mutation audit of the breadth-first walk, its engine loops and
+the register-machine walk.
 
 Makes every one-point mutant of `psys.explore._walk` and
-`psys.explore.check_deterministic`, then of `Engine._generated_step` and
-`Engine._listing` in `psys.engine`: a comparison swapped (`<` and `<=`,
+`psys.explore.check_deterministic`; of `Engine._generated_step` and
+`Engine._listing`; of `Engine._enabled`, `_greedy_pass`, `apply` and
+`_net_tables`; and of `psys.rm._machine_reach`: a comparison swapped (`<` and `<=`,
 `>` and `>=`, `==` and `!=`, `is` and `is not`, `in` and `not in`), a
 `+` turned into `-` or back (in augmented assignments too, so `+= 1`
 becomes `-= 1`), or an int constant raised by one (so `+= 1` also
 becomes `+= 2`). Each mutant is written into a temporary copy of the
 tree, and its module's tests run against it from inside that copy, since
-`pyproject.toml`'s pytest `pythonpath` wins over `PYTHONPATH`: the walk's
-mutants meet `tests/test_explore.py` and `tests/test_golden.py`, the
-engine's `tests/test_engine.py` and `tests/test_rm.py`. A mutant the tests
-fail on, or time out on, is killed.
+`pyproject.toml`'s pytest `pythonpath` wins over `PYTHONPATH`. Each group
+meets the tests that `AUDITS` names for it. A mutant the tests fail on, or
+time out on, is killed.
 
 A surviving mutant must be on EQUIVALENT, with the reason it cannot
 change what the mutated function returns. Any other survivor, and any
@@ -48,6 +49,17 @@ AUDITS = (
         Path("src/psys/engine.py"),
         ("_generated_step", "_listing"),
         ("tests/test_engine.py", "tests/test_rm.py"),
+    ),
+    (
+        # test_golden.py's digests pin the greedy draws.
+        Path("src/psys/engine.py"),
+        ("_enabled", "_greedy_pass", "apply", "_net_tables"),
+        ("tests/test_engine.py", "tests/test_golden.py"),
+    ),
+    (
+        Path("src/psys/rm.py"),
+        ("_machine_reach",),
+        ("tests/test_rm.py",),
     ),
 )
 COPIED = ("src", "tests", "perfbench/inputs", "README.md", "pyproject.toml")
@@ -93,6 +105,12 @@ EQUIVALENT = {
     "_listing: `if fits < m:` < -> <=": "m takes the value it already has",
     "_listing: `for i in range(start - 1, -1, -1):` 1 -> 2 #2": (
         "the test also reaches needs[-1], the last rule, which sits at its top and never fits"
+    ),
+    "_enabled: `if fits < bound:` < -> <=": (
+        "bound is at least 1 here, so fits == bound keeps bound and does not break"
+    ),
+    "_greedy_pass: `if fits < bound:` < -> <=": (
+        "bound is at least 1 here, so fits == bound keeps bound and does not break"
     ),
 }
 

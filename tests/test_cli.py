@@ -129,6 +129,17 @@ def test_validate_unparseable(tmp_path, capsys):
     assert "D0" in err
 
 
+def test_validate_reports_a_parser_bug_in_one_line(tmp_path, capsys, monkeypatch):
+    def broken(text, out):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(dsl, "_parse_system_inner", broken)
+    path = put(tmp_path, "s.psys", VALID)
+    code, out, err = invoke(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert err == f"{path}:0:0: D011: internal parser error: KeyError('boom')\n"
+
+
 def test_missing_file(capsys):
     code, _, err = invoke(capsys, "validate", "/nonexistent/x.psys")
     assert code == 1
@@ -335,6 +346,15 @@ def test_machine_commands_print_one_line_per_problem(tmp_path, capsys, command):
         f"{path}: p: register r2 out of range",
         f"{path}: p: jump target 'q' is not defined",
     ]
+
+
+@pytest.mark.parametrize("command", ["compile-rm", "rm-verify"])
+def test_machine_commands_refuse_a_label_named_empty(tmp_path, capsys, command):
+    text = "registers 1\noutput r1\nstart empty\nempty: ADD r1 -> empty | h\nh: HALT\n"
+    path = put(tmp_path, "m.rm", text)
+    code, out, err = invoke(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == f"{path}: label 'empty' is not a valid object name\n"
 
 
 def test_rm_verify_checks_its_machine_once(tmp_path, capsys, monkeypatch):

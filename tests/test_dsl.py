@@ -1,6 +1,7 @@
 import random
 import timeit
 
+from psys import dsl
 from psys.dsl import (
     BAD_INTERACTION,
     BAD_MACHINE_LINE,
@@ -265,10 +266,11 @@ def test_invalid_object_names_are_located_wherever_they_stand():
     # Columns are 1-based and a tab counts as one column.
     text = (
         "@model cell\n"
-        "@objects a 9x b c-d\n"  # in the middle, at 12, and at the end, at 17
+        "@objects a 9x b c-d empty\n"  # at 12, 17 and, reserved, at 21
         "@env b\t1y c\t$\n"  # in the middle, at 8, and at the end, at 13, after tabs
         "@membranes 1\n"
         "@init 1: a\tb^x\n"  # a bad count: the multiset's item, at 12
+        "@rules 1: (a b empty, out)\n"  # a reserved name in a rule, at 16
         "@output 1\n"
     )
     sys, diags = parse_system(text)
@@ -276,13 +278,37 @@ def test_invalid_object_names_are_located_wherever_they_stand():
     assert [(d.line, d.column, d.code) for d in diags] == [
         (2, 12, BAD_PAYLOAD),
         (2, 17, BAD_PAYLOAD),
+        (2, 21, BAD_PAYLOAD),
         (3, 8, BAD_PAYLOAD),
         (3, 13, BAD_PAYLOAD),
         (5, 12, BAD_MULTISET),
+        (6, 16, BAD_MULTISET),
     ]
-    assert [d.message for d in diags[:4]] == [
-        f"invalid object name {name!r}" for name in ("9x", "c-d", "1y", "$")
+    assert [d.message for d in diags] == [
+        *(f"invalid object name {name!r}" for name in ("9x", "c-d", "empty", "1y", "$")),
+        "invalid multiplicity 'x' for 'b'",
+        "invalid object name 'empty'",
     ]
+    _, diags = parse_interactions("(a,1)(empty,0) -> (a,0)(empty,1)\n")
+    assert [(d.line, d.column, d.code) for d in diags] == [
+        (1, 7, BAD_INTERACTION),
+        (1, 25, BAD_INTERACTION),
+    ]
+
+
+def test_a_parser_bug_becomes_one_internal_error_diagnostic(monkeypatch):
+    def broken(text, out):
+        raise KeyError("boom")
+
+    for inner, parse, failed in (
+        ("_parse_system_inner", parse_system, None),
+        ("_parse_interactions_inner", parse_interactions, []),
+        ("_parse_machine_inner", parse_machine, None),
+    ):
+        monkeypatch.setattr(dsl, inner, broken)
+        value, diags = parse("@model cell\n")
+        assert value == failed
+        assert [str(d) for d in diags] == ["0:0: D011: internal parser error: KeyError('boom')"]
 
 
 def test_round_trip_generated_systems():

@@ -968,6 +968,7 @@ def test_configuration_equality_and_hash():
     a = Configuration({1: ms("a")}, EnvContent({"e"}, ms("b")))
     b = Configuration({1: ms("a")}, EnvContent({"e"}, ms("b")))
     assert a == b and hash(a) == hash(b)
+    assert a.__eq__(a.regions) is NotImplemented and a != a.regions
     assert a.total_inside == 1 and a.total_tracked == 2
     with pytest.raises(KeyError):
         a.region_size(2)

@@ -79,6 +79,8 @@ def test_structure_tree_queries():
 def test_structure_problems():
     assert MembraneStructure(0, {}).problems()
     assert MembraneStructure(2, {}).problems()  # 2 is disconnected
+    with pytest.raises(ValueError, match="no unique skin"):
+        MembraneStructure(2, {}).skin  # a forest of two
     assert MembraneStructure(2, {2: 2}).problems()  # self-parent
     assert MembraneStructure(3, {2: 3, 3: 2}).problems()  # cycle
     assert MembraneStructure(2, {2: 5}).problems()  # parent out of range
@@ -143,7 +145,7 @@ def test_output_must_be_elementary():
 
 def test_cell_violation_catalogue():
     bad = CellPSystem(
-        alphabet=["a", "3x"],
+        alphabet=["a", "3x", "empty"],  # `empty` is the empty multiset's literal
         structure=MembraneStructure(1, {}),
         init={7: ms("a"), 1: ms("zz")},
         env_support=["q"],
@@ -156,7 +158,10 @@ def test_cell_violation_catalogue():
     )
     report = validate_cell(bad)
     got = set(codes(report))
-    assert BAD_OBJECT_NAME in got
+    assert [v.message for v in report.violations if v.code == BAD_OBJECT_NAME] == [
+        "invalid object name '3x'",
+        "invalid object name 'empty'",
+    ]
     assert UNKNOWN_INIT_REGION in got
     assert OBJECT_NOT_DECLARED in got  # init zz, rule c
     assert ENV_NOT_IN_ALPHABET in got

@@ -31,6 +31,8 @@ def test_zero_counts_dropped():
     assert Multiset({"a": 0, "b": 2}) == Multiset({"b": 2})
     assert not Multiset({"a": 0})
     assert Multiset({"a": 0}).items() == ()
+    assert Multiset({"a": 1}).__eq__({"a": 1}) is NotImplemented
+    assert Multiset({"a": 1}) != {"a": 1}
 
 
 def test_constructor_rejects_bad_counts():
@@ -172,6 +174,7 @@ def test_valid_names():
     assert not is_valid_name("3a")
     assert not is_valid_name("a-b")
     assert not is_valid_name("a b")
+    assert not is_valid_name("empty")  # the empty multiset's literal
 
 
 def random_ms(rng, names="abcde", hi=6):

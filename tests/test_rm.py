@@ -87,6 +87,29 @@ def test_machine_problems_catalogue():
     assert any("output" in p for p in machine_problems(bad_output))
     bad_start = RegisterMachine(1, 1, "boot", {"p0": Halt()})
     assert any("boot" in p for p in machine_problems(bad_start))
+    # `empty` would compile to an object that prints as the empty multiset.
+    reserved = RegisterMachine(1, 1, "empty", {"empty": Add(1, "empty", "h"), "h": Halt()})
+    assert machine_problems(reserved) == ["label 'empty' is not a valid object name"]
+    assert machine_problems(RegisterMachine(1, 1, "p0", {})) == [
+        "no instructions",
+        "start label 'p0' is not defined",
+    ]
+
+
+def test_a_machine_walk_cut_by_the_state_bound_is_inconclusive(monkeypatch):
+    # sub_drain's one run visits six states, the halt last.
+    rm = importlib.import_module("psys.rm")
+    monkeypatch.setattr(rm, "STATE_BOUND", 6)
+    assert rm_results(sub_drain(), value_bound=8) == (frozenset({0}), True)
+    monkeypatch.setattr(rm, "STATE_BOUND", 5)
+    assert rm_results(sub_drain(), value_bound=8) == (frozenset(), False)
+    report = verify_compilation(sub_drain(), value_bound=8)
+    assert (report.ok, report.inconclusive) == (False, True)
+    assert (report.machine_exhausted, report.system_exhausted) == (False, True)
+    assert report.messages == (
+        "no mismatch proven: values produced by the compiled system only: [0], "
+        "but the machine's walk was cut by a budget",
+    )
 
 
 # ---------------------------------------------------------------- compiler
