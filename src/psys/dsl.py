@@ -156,11 +156,11 @@ _STRUCT_TOKEN = re.compile(r"\d+|[()]|\S")
 def parse_structure(
     text: str, line: int = 1, column: int = 1, out: Optional[_Collector] = None
 ) -> Optional[MembraneStructure]:
-    """Parse a parenthesized membrane tree such as `1(2 3(4))`."""
+    """Parse a parenthesized membrane tree such as `1(2 3(4))`: N membranes labeled 1..N."""
     own = out if out is not None else _Collector()
     before = len(own.diags)
     parent: dict[int, int] = {}
-    seen: set[int] = set()
+    seen: dict[int, int] = {}  # label -> its column
     stack: list[int] = []
     prev: Optional[int] = None
     for tok in _STRUCT_TOKEN.finditer(text):
@@ -173,7 +173,7 @@ def parse_structure(
             elif label in seen:
                 own.add(line, at, BAD_STRUCTURE_TEXT, f"membrane {label} appears twice")
             else:
-                seen.add(label)
+                seen[label] = at
                 if stack:
                     parent[label] = stack[-1]
                 prev = label
@@ -197,6 +197,9 @@ def parse_structure(
             own.add(line, column, BAD_STRUCTURE_TEXT, "missing ')'")
         elif not seen:
             own.add(line, column, BAD_STRUCTURE_TEXT, "empty membrane structure")
+        for label, at in seen.items():
+            if label > len(seen):
+                own.add(line, at, BAD_STRUCTURE_TEXT, f"membrane {label} is not in 1..{len(seen)}")
     if len(own.diags) > before:
         return None
     return MembraneStructure(len(seen), parent)

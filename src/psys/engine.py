@@ -273,19 +273,19 @@ class Engine:
     """Transition function of one system.
 
     Instances are cheap and stateless beyond the rules, the slot layout,
-    the rules' take and give tables over it and the lookups derived from
-    the take tables once (the scan table and each rule's take slots).
+    the rules' take, give and net tables over it and the lookups derived
+    from the take tables once (the scan table and each rule's take slots).
     Nothing is assigned after `__init__`: all methods are pure functions
     of the configuration they receive, which draws on the system's
-    unlimited supply. A walk makes what it alone needs, each rule's net
-    table and, past `explore.COMPILE_AFTER` configurations, a generated
-    step, and keeps them to itself.
+    unlimited supply. A walk past `explore.COMPILE_AFTER` configurations
+    makes a generated step and keeps it to itself.
 
     Each rule lowers from its `model.rule_moves`, so the engine reads no
-    rule form itself. Raises UnboundedStepError for the first rule, in
-    index order, that takes no tracked object: no configuration bounds
-    how often it applies. The message names it by id alone when its text
-    holds a count that `str()` will not write.
+    rule form itself. Raises UnboundedStepError, as the rule is lowered,
+    for the first rule in index order that takes no tracked object: no
+    configuration bounds how often it applies. The message names it by id
+    alone when its text holds a count that `str()` will not write. Raises
+    ValueError for an output label that names no region.
     """
 
     def __init__(self, sys: PSystem):
@@ -314,9 +314,14 @@ class Engine:
                     if dst or name not in unlimited:
                         give[dst, name] = give.get((dst, name), 0) + count
             rules.append(TransferRule(pos, f"r{pos + 1}", rule))
+            if not take:
+                where = rule_location(f"rule {rules[-1].rid}", rule_text, rule)
+                raise UnboundedStepError(f"{where} consumes only unlimited objects")
             takes.append(take)
             gives.append(give)
             pairs.update(take, give)
+        if self.output not in labels:
+            raise ValueError(f"no region labeled {self.output}")
         self.rules = tuple(rules)
         slots = tuple(sorted(pairs))
         self._layout = layout = _Layout(slots, labels, unlimited)
@@ -326,10 +331,15 @@ class Engine:
             [tuple(sorted([(index[pair], k) for pair, k in table.items()])) for table in tables]
             for tables in (takes, gives)
         )
-        for rule, need in zip(rules, self._takes):
-            if not need:
-                where = rule_location(f"rule {rule.rid}", rule_text, rule.source)
-                raise UnboundedStepError(f"{where} consumes only unlimited objects")
+        # A net table, gives less takes, leaves out each slot a rule gives as
+        # much as it takes. Adding a step's net tables to the counts builds
+        # its successor, without testing its takes.
+        self._nets = nets = []
+        for take, give in zip(self._takes, self._gives):
+            net = dict(give)
+            for slot, count in take:
+                net[slot] = net.get(slot, 0) - count
+            nets.append(tuple([(slot, delta) for slot, delta in net.items() if delta]))
         self._start = tuple([start.get(pair, 0) for pair in slots])
         # `_enabled`, the generated step, the greedy pass and the listing read
         # (index, first slot, first count, other takes), one entry per rule.
@@ -445,7 +455,7 @@ class Engine:
                     marks.append(f"u{slot}")
             lines += [f" if {' and '.join(tests)}:", *steps, f"  {' = '.join(marks)} = t0"]
         terms: list[list[str]] = [[] for _ in range(width)]
-        for index, net in enumerate(self._net_tables()):
+        for index, net in enumerate(self._nets):
             for slot, delta in net:
                 term = f"b{index}"
                 if abs(delta) != 1:
@@ -609,20 +619,6 @@ class Engine:
                     )
         self._give(pools, applications)
         return Configuration._of(layout, tuple(pools))
-
-    def _net_tables(self) -> list[tuple[tuple[int, int], ...]]:
-        """Each rule's (slot, gives less takes) for every slot it changes.
-
-        Adding a step's tables builds its successor, touching a slot a rule
-        both takes and gives at once; the step's takes are not tested.
-        """
-        nets = []
-        for take, give in zip(self._takes, self._gives):
-            net = dict(give)
-            for slot, count in take:
-                net[slot] = net.get(slot, 0) - count
-            nets.append(tuple([(slot, delta) for slot, delta in net.items() if delta]))
-        return nets
 
     def _give(self, pools: list[int], applications) -> None:
         """Add the products of `applications` to the pools in place: a step's second phase."""

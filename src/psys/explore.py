@@ -130,9 +130,9 @@ def _walk(
     """
     results: set[int] = set()
     halting_leaves = cut_branches = 0
-    witness = nets = None
+    witness = None
     layout, counts = engine._counts(start)
-    listing, enabled = engine._listing, engine._enabled
+    listing, enabled, nets = engine._listing, engine._enabled, engine._nets
     step = lambda counts: (None, enabled(counts))
     of, output = Configuration._of, engine.output
     max_depth, max_total = budget.max_depth, budget.max_total_objects
@@ -169,7 +169,6 @@ def _walk(
                 if depth >= max_depth:
                     cut_branches += 1
                     continue
-                nets = nets or engine._net_tables()
                 successors = []
                 for applications in steps:
                     pools = list(counts)

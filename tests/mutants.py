@@ -1,18 +1,20 @@
-"""One-point mutation audit of the breadth-first walk, its engine loops and
-the register-machine walk.
+"""One-point mutation audit of the breadth-first walk, the engine's
+construction and loops, and the register-machine walk and compiler audit.
 
 Makes every one-point mutant of `psys.explore._walk` and
 `psys.explore.check_deterministic`; of `Engine._generated_step` and
-`Engine._listing`; of `Engine._enabled`, `_greedy_pass`, `apply` and
-`_net_tables`; and of `psys.rm._machine_reach`: a comparison swapped (`<` and `<=`,
+`Engine._listing`; of `Engine.__init__`, `_enabled`, `_greedy_pass`,
+`apply`, `_steps` and `psys.engine._shuffle`; and of `psys.rm._machine_reach`
+and `verify_compilation`: a comparison swapped (`<` and `<=`,
 `>` and `>=`, `==` and `!=`, `is` and `is not`, `in` and `not in`), a
 `+` turned into `-` or back (in augmented assignments too, so `+= 1`
 becomes `-= 1`), or an int constant raised by one (so `+= 1` also
 becomes `+= 2`). Each mutant is written into a temporary copy of the
 tree, and its module's tests run against it from inside that copy, since
 `pyproject.toml`'s pytest `pythonpath` wins over `PYTHONPATH`. Each group
-meets the tests that `AUDITS` names for it. A mutant the tests fail on, or
-time out on, is killed.
+meets the tests that `AUDITS` names for it. A target is a function's name,
+or `Class.method` for a method whose name other classes share. A mutant the
+tests fail on, or time out on, is killed.
 
 A surviving mutant must be on EQUIVALENT, with the reason it cannot
 change what the mutated function returns. Any other survivor, and any
@@ -53,12 +55,12 @@ AUDITS = (
     (
         # test_golden.py's digests pin the greedy draws.
         Path("src/psys/engine.py"),
-        ("_enabled", "_greedy_pass", "apply", "_net_tables"),
+        ("Engine.__init__", "_enabled", "_greedy_pass", "apply", "_steps", "_shuffle"),
         ("tests/test_engine.py", "tests/test_golden.py"),
     ),
     (
         Path("src/psys/rm.py"),
-        ("_machine_reach",),
+        ("_machine_reach", "verify_compilation"),
         ("tests/test_rm.py",),
     ),
 )
@@ -123,12 +125,19 @@ class Mutator(ast.NodeTransformer):
         self.targets, self.lines, self.chosen = targets, lines, chosen
         self.names: list[str] = []
         self.seen: Counter[str] = Counter()
-        self.function = None
+        self.function = self.owner = None
+
+    def visit_ClassDef(self, node):
+        self.owner = node.name
+        self.generic_visit(node)
+        self.owner = None
+        return node
 
     def visit_FunctionDef(self, node):
-        if node.name not in self.targets:
+        qualified = f"{self.owner}.{node.name}"
+        if node.name not in self.targets and qualified not in self.targets:
             return node
-        self.function = node.name
+        self.function = node.name if node.name in self.targets else qualified
         node.body = [self.visit(statement) for statement in node.body]
         self.function = None
         return node

@@ -425,6 +425,22 @@ def test_validate_reports_a_membrane_named_twice(tmp_path, capsys):
     assert err == f"{path}:4:16: D007: membrane 2 appears twice\n"
 
 
+def test_validate_reports_membrane_labels_past_the_membrane_count(tmp_path, capsys):
+    # N membranes take the labels 1..N in any order; the parser names each
+    # other label where the file wrote it, not a renumbered membrane.
+    for shape, labels in (("5", {12: 5}), ("3(5)", {12: 3, 14: 5})):
+        path = put(tmp_path, "t.psys", VALID.replace("@membranes 1", f"@membranes {shape}"))
+        code, out, err = invoke(capsys, "validate", path)
+        assert (code, out) == (1, "")
+        n = len(labels)
+        assert err.splitlines() == [
+            f"{path}:4:{at}: D007: membrane {label} is not in 1..{n}" for at, label in labels.items()
+        ]
+    path = put(tmp_path, "t.psys", VALID.replace("@membranes 1", "@membranes 2(1)"))
+    code, out, err = invoke(capsys, "validate", path)
+    assert (code, err) == (0, "")
+
+
 def test_compile_rm_unwritable_output_exits_one(tmp_path, capsys):
     source = put(tmp_path, "m.rm", MACHINE)
     code, out, err = invoke(capsys, "compile-rm", source, "-o", str(tmp_path))

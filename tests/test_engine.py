@@ -939,7 +939,8 @@ def test_trace_final_record_omits_result_when_not_halted():
 def test_rule_tables_match_the_oracle_rules():
     # Each rule's take and give tables, read back as (node, name) -> count,
     # are the oracle's consume and produce without the unlimited env supply,
-    # listed in (node, name) order; ids run r1..rn in rule order.
+    # listed in (node, name) order, and its net table is produce less
+    # consume on those slots, zero entries dropped; ids run r1..rn in order.
     rng = random.Random(11)
     kinds = set()
     for n in range(150):
@@ -951,16 +952,23 @@ def test_rule_tables_match_the_oracle_rules():
         ]
         slots = eng._layout.slots
         reference = norm_rules(sys)
-        assert len(reference) == len(eng._takes) == len(eng._gives)
-        for (consume, produce), take, give in zip(reference, eng._takes, eng._gives):
-            for table, parts in ((take, consume), (give, produce)):
-                expected = {
+        assert len(reference) == len(eng._takes) == len(eng._gives) == len(eng._nets)
+        tables = zip(reference, eng._takes, eng._gives, eng._nets)
+        for (consume, produce), take, give, net in tables:
+            expected = [
+                {
                     (node, name): k
                     for node, counts in parts.items()
                     for name, k in counts.items()
                     if node or name not in sys.env_support
                 }
-                assert [(slots[slot], k) for slot, k in table] == sorted(expected.items())
+                for parts in (consume, produce)
+            ]
+            for table, pairs in zip((take, give), expected):
+                assert [(slots[slot], k) for slot, k in table] == sorted(pairs.items())
+            delta = Counter(expected[1])
+            delta.subtract(expected[0])
+            assert {slots[slot]: k for slot, k in net} == {p: k for p, k in delta.items() if k}
     assert kinds == {"CellPSystem", "TissuePSystem", "InteractionSystem"}
 
 
@@ -1146,9 +1154,8 @@ def _expected_step(eng, counts):
         return None, enabled
     assert eng._listing(counts, enabled, 10_000) == ((tuple(enabled),), True)
     pools = list(counts)
-    nets = eng._net_tables()
     for index, m in enabled:
-        for slot, delta in nets[index]:
+        for slot, delta in eng._nets[index]:
             pools[slot] += m * delta
     return tuple(pools), None
 

@@ -18,9 +18,13 @@ from psys.model import (
     CellAntiport,
     CellPSystem,
     CellRule,
+    InteractionSystem,
     MembraneStructure,
     SymportIn,
     SymportOut,
+    TissuePSystem,
+    TissueSymport,
+    UniportRule,
 )
 from psys.multiset import EnvContent, Multiset, parse_multiset
 
@@ -355,17 +359,20 @@ def test_walk_without_a_hook_makes_no_public_engine_call(monkeypatch):
     assert calls == Counter()
 
 
-def test_an_output_label_without_a_region_raises_at_a_halting_leaf():
-    # Unvalidated systems may name an output region they lack; the walk
-    # raises KeyError only once a halting leaf needs that region's count.
-    halting = flat([SymportOut(ms("a"))], "a", output=2)
-    with pytest.raises(KeyError):
-        explore(halting)
-    with pytest.raises(KeyError):
-        check_deterministic(halting)
-    cycling = flat([CellAntiport(ms("a"), ms("a"))], "a", env=("a",), output=2)
-    assert explore(cycling) == ExploreOutcome(frozenset(), True, 0, 0, 1)
-    assert check_deterministic(cycling).status == "deterministic_up_to_budget"
+def test_an_output_label_without_a_region_is_refused_by_the_engine():
+    # Unvalidated systems may name an output region they lack. `Engine()`
+    # refuses them, so no walk starts, whether or not a computation halts.
+    cases = [
+        flat([SymportOut(ms("a"))], "a", output=2),
+        flat([CellAntiport(ms("a"), ms("a"))], "a", env=("a",), output=2),
+        TissuePSystem("a", 1, {1: ms("a")}, (), [TissueSymport(1, ms("a"), 0)], 7),
+        InteractionSystem("a", 1, {1: ms("a")}, (), [UniportRule("a", 1, 0)], 7),
+    ]
+    walks = (explore, check_deterministic, lambda sys: decide_accept(sys, ms("a"), 1))
+    for system in cases:
+        for call in (Engine, *walks):
+            with pytest.raises(ValueError, match=f"^no region labeled {system.output}$"):
+                call(system)
 
 
 def test_results_grow_with_budget():

@@ -481,7 +481,27 @@ def test_verify_flags_normal_form_breach():
     report = verify_compilation(m, value_bound=4)
     assert not report.normal_form_ok
     assert not report.ok
-    assert any("normal form" in msg for msg in report.messages)
+    assert report.messages[0] == (
+        "halt at ph leaves non-output registers {'r2': 1}; "
+        "the machine is not in compiler normal form"
+    )
+
+
+def test_verify_walks_the_system_under_its_documented_budget(monkeypatch):
+    # Configurations of at most num_registers * value_bound + 2 objects, one
+    # program object and one marker above the register content.
+    rm_module = importlib.import_module("psys.rm")
+    budgets = []
+
+    def spy(system, budget):
+        budgets.append(budget)
+        return explore(system, budget)
+
+    monkeypatch.setattr(rm_module, "explore", spy)
+    machine = transfer()
+    assert verify_compilation(machine, value_bound=3).ok
+    objects = machine.num_registers * 3 + 2
+    assert budgets == [ExploreBudget(max_depth=10_000, max_total_objects=objects)]
 
 
 def test_verify_report_as_dict():
