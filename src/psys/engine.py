@@ -277,8 +277,9 @@ class Engine:
     from the take tables once (the scan table and each rule's take slots).
     Nothing is assigned after `__init__`: all methods are pure functions
     of the configuration they receive, which draws on the system's
-    unlimited supply. A walk past `explore.COMPILE_AFTER` configurations
-    makes a generated step and keeps it to itself.
+    unlimited supply. A walk expands with `_expand` until its memo holds
+    `explore.COMPILE_AFTER` configurations, then with a generated step,
+    `_expand` unrolled, that it makes and keeps to itself.
 
     Each rule lowers from its `model.rule_moves`, so the engine reads no
     rule form itself. Raises UnboundedStepError, as the rule is lowered,
@@ -418,16 +419,52 @@ class Engine:
                 out.append((index, bound))
         return out
 
+    def _contended(self, enabled: list[tuple[int, int]]) -> bool:
+        """Whether two of the `enabled` rules take from one slot.
+
+        Without such a pair a rule below its top multiplicity could always
+        fire once more, so every rule at its top is the only maximal step.
+        The rules' take slots are added to one set until a rule meets a
+        slot already taken.
+        """
+        take_slots, taken = self._take_slots, set()
+        for index, _ in enabled:
+            slots = take_slots[index]
+            if not taken.isdisjoint(slots):
+                return True
+            taken.update(slots)
+        return False
+
+    def _expand(
+        self, pools
+    ) -> tuple[Optional[tuple[int, ...]], Optional[list[tuple[int, int]]]]:
+        """`_generated_step`'s contract, interpreted, for a count vector.
+
+        Returns `(successor, None)` when the enabled rules take from no
+        common slot, the successor adding each rule's top multiplicity
+        times its net table, and `(None, _enabled(pools))` otherwise.
+        """
+        enabled = self._enabled(pools)
+        # One rule in play is the cheapest uncontended case.
+        if enabled and (len(enabled) == 1 or not self._contended(enabled)):
+            successor, nets = list(pools), self._nets
+            for index, m in enabled:
+                for slot, delta in nets[index]:
+                    successor[slot] += m * delta
+            return tuple(successor), None
+        return None, enabled
+
     def _generated_step(self, width: int):
         """A straight-line function of a count vector of `width` slots, made afresh.
 
         It returns `(successor, None)` when the enabled rules take from no
         common slot, so each fires at its top multiplicity in the one maximal
-        step, and `(None, _enabled(p))` otherwise. An enabled rule sets its
-        `b<index>` to that multiplicity, `e`, a flag on each slot a later rule
-        takes from, and `c` on meeting an earlier rule's flag: the contention
-        test grows with the take tables. Only slot and rule indices reach the
-        text; take counts and net deltas sit in a constants tuple, unwritten.
+        step, and `(None, _enabled(p))` otherwise: `_expand`, unrolled. An
+        enabled rule sets its `b<index>` to that multiplicity, `e`, a flag on
+        each slot a later rule takes from, and `c` on meeting an earlier
+        rule's flag: the contention test grows with the take tables. Only
+        slot and rule indices reach the text; take counts and net deltas sit
+        in a constants tuple, unwritten.
         """
         constants: dict[int, int] = {}
         takers: dict[int, list[int]] = {}  # slot -> the rules taking from it
@@ -505,7 +542,12 @@ class Engine:
         for an object: without such a pair the one step is found directly.
         """
         held = self._counts(c)[1]
-        steps, complete = self._listing(held, self._enabled(held), cap)
+        enabled = self._enabled(held)
+        if not enabled:
+            return (), True
+        if not self._contended(enabled):
+            return ((StepChoice(tuple(enabled)),), True) if cap >= 1 else ((), False)
+        steps, complete = self._listing(held, enabled, cap)
         return tuple(map(StepChoice, steps)), complete
 
     def _listing(
@@ -513,28 +555,12 @@ class Engine:
     ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], bool]:
         """`maximal_steps` on a count vector: each step's (rule index, m) pairs.
 
-        `enabled` is `_enabled(held)`, or the list the generated step
-        returned: the caller has it already.
+        `enabled` is `_enabled(held)`, holding two rules that take from one
+        slot, as `_expand` or the generated step returned it: the caller has
+        tested that already.
         """
-        if not enabled:
-            return (), True
-        # When no two rules in play take from one slot, a rule below its top
-        # multiplicity could always fire once more, so every rule at its top
-        # is the only maximal step. One rule in play is the cheapest case;
-        # otherwise the rules' take slots are added to one set until a rule
-        # meets a slot already taken.
-        if len(enabled) == 1:
-            return ((tuple(enabled),), True) if cap >= 1 else ((), False)
-        take_slots, taken = self._take_slots, set()
-        for index, _ in enabled:
-            slots = take_slots[index]
-            if not taken.isdisjoint(slots):
-                break
-            taken.update(slots)
-        else:
-            return ((tuple(enabled),), True) if cap >= 1 else ((), False)
-        indices = [index for index, _ in enabled]
-        needs = [self._takes[index] for index in indices]
+        indices = list(map(itemgetter(0), enabled))
+        needs = list(map(self._takes.__getitem__, indices))
         # Each rule's (first slot, first count, other takes).
         rows = [self._scan[index][1:] for index in indices]
         last = len(needs) - 1

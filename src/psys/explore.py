@@ -26,12 +26,17 @@ DEFAULT_MAX_DEPTH = 64
 DEFAULT_MAX_TOTAL_OBJECTS = 64
 DEFAULT_MAX_BRANCHES = 10_000
 DEFAULT_MAX_CONFIGS = 1_000_000
-# A walk whose memo reaches this many configurations expands the rest with a
-# generated step (`Engine._generated_step`). Generating costs 35-65 µs a rule
-# (0.4-0.6 ms for `transfer`'s 9, 3-5 ms for the ring's 88); on `transfer`
-# the step takes 1.3-2.3 µs, about half, off each configuration's cost. Most
-# walks are far shorter and never generate it.
-COMPILE_AFTER = 1_000
+# A walk expands with `Engine._expand` until a level leaves this many
+# configurations in its memo, then with a generated step
+# (`Engine._generated_step`): the break-even, where generating costs what the
+# interpreted expansion has lost so far. Generating costs about 30 µs a rule
+# (0.3-0.4 ms for `transfer`'s 9 rules, 2.4-2.8 ms for the ring's 88); the
+# generated step saves 0.7-0.8 µs a configuration on `transfer`, 2.1-2.8 µs
+# on the ring and 0.4-0.6 µs on the compiled machine population: break-evens
+# of about 450-570, 850-1,300 and 800-1,050 configurations (CPython 3.11,
+# 2-core VM). At 500 none of them pays more than about 1.7 times the better
+# of generating at once and never generating.
+COMPILE_AFTER = 500
 
 
 class ExploreBudget(Record):
@@ -113,14 +118,17 @@ def _walk(
 
     `start` is lowered once onto the engine's layout, which every successor
     keeps, so the memo set and the per-depth lists hold bare count tuples:
-    equal tuples are equal contents. Each successor is hashed once, as it
-    joins the memo. `Engine._enabled` scans a configuration, deciding
-    halting, `Engine._listing` lists its steps and the net tables build the
-    successors. Once the memo holds `COMPILE_AFTER` configurations,
-    `Engine._generated_step` expands instead: it returns the one successor
-    of a configuration whose enabled rules contend for no slot, and only
-    the others go to the listing. The engine never changes. A
-    `Configuration` is made only for the witness, for each halting leaf's
+    equal tuples are equal contents. Each level is expanded, in order, into
+    one list of successors; one loop then memoizes that list into the next
+    level, hashing each successor once. `Engine._expand` expands a vector:
+    it returns the one successor of a vector whose enabled rules contend
+    for no slot, or the enabled rules of any other, which decides halting;
+    `Engine._listing` lists the contended vector's steps and the net tables
+    build their successors. A vector over the object budget is only tested
+    for halting, unless the walk seeks a witness. Once a level leaves
+    `COMPILE_AFTER` configurations in the memo, `Engine._generated_step`,
+    the same contract unrolled, expands instead. The engine never changes.
+    A `Configuration` is made only for the witness, for each halting leaf's
     result and, with `on_edge`, for each edge's ends; a `StepChoice` only
     for `on_edge`.
 
@@ -133,66 +141,84 @@ def _walk(
     witness = None
     layout, counts = engine._counts(start)
     listing, enabled, nets = engine._listing, engine._enabled, engine._nets
-    step = lambda counts: (None, enabled(counts))
+    step = expand = engine._expand
     of, output = Configuration._of, engine.output
     max_depth, max_total = budget.max_depth, budget.max_total_objects
     max_branches, max_configs = budget.max_branches, budget.max_configs
-    visited, size, level, depth = {counts}, 1, [counts], 0
+    visited, size, level, depth, limit = {counts}, 1, [counts], 0, max_total
     while level and witness is None:
-        deeper = []
+        successors = []
+        append = successors.append
         for counts in level:
-            successor, fits = step(counts)
-            if successor is not None:
-                if sum(counts) > max_total or depth >= max_depth:
+            total = sum(counts)
+            if total <= limit:
+                successor, fits = step(counts)
+                if successor is not None:
+                    append(successor)
+                    if on_edge is not None:
+                        choice = StepChoice(tuple(enabled(counts)))
+                        on_edge(of(layout, counts), choice, of(layout, successor))
+                    continue
+            elif stop_at_branching or total <= max_total:
+                # At the depth budget, or over the object budget in a search
+                # for a witness: a vector with one step is cut, the others listed.
+                successor, fits = step(counts)
+                if successor is not None:
                     cut_branches += 1
                     continue
-                successors = (successor,)
-                steps = (tuple(enabled(counts)),) if on_edge is not None else ()
-            elif not fits:
+            else:
+                # Over the object budget a vector is only tested for halting.
+                fits = enabled(counts)
+                if fits:
+                    cut_branches += 1
+                    continue
+            if not fits:
                 halting_leaves += 1
                 results.add(of(layout, counts).region_size(output))
                 continue
-            else:
-                over = sum(counts) > max_total
-                # Past the object budget only halting counts, so the listing is
-                # skipped, unless several steps there would make it the witness.
-                if stop_at_branching or not over:
-                    steps, complete = listing(counts, fits, max_branches)
-                    if stop_at_branching and len(steps) > 1:
-                        witness = of(layout, counts)
-                        break
-                if over:
-                    cut_branches += 1
-                    continue
-                if not complete:
-                    cut_branches += 1
-                if depth >= max_depth:
-                    cut_branches += 1
-                    continue
-                successors = []
-                for applications in steps:
-                    pools = list(counts)
-                    for index, m in applications:
-                        for slot, delta in nets[index]:
-                            pools[slot] += m * delta
-                    successors.append(tuple(pools))
+            steps, complete = listing(counts, fits, max_branches)
+            if stop_at_branching and len(steps) > 1:
+                witness = of(layout, counts)
+                break
+            if total > limit:
+                # Not expanded: one cut, and one more for a listing the branch
+                # budget cut short within the object budget.
+                cut_branches += 1 + (not complete and total <= max_total)
+                continue
+            cut_branches += not complete
+            made = []
+            for applications in steps:
+                pools = list(counts)
+                for index, m in applications:
+                    for slot, delta in nets[index]:
+                        pools[slot] += m * delta
+                made.append(tuple(pools))
+            successors += made
             if on_edge is not None:
                 config = of(layout, counts)
-                for applications, successor in zip(steps, successors):
+                for applications, successor in zip(steps, made):
                     on_edge(config, StepChoice(applications), of(layout, successor))
-            for successor in successors:
-                visited.add(successor)
-                if len(visited) == size:
-                    continue
-                if size >= max_configs:
-                    visited.discard(successor)
-                    cut_branches += 1
-                    continue
-                size += 1
-                deeper.append(successor)
-                if size == COMPILE_AFTER:
-                    step = engine._generated_step(len(counts))
-        level, depth = deeper, depth + 1
+        # The memo takes the level's successors in the order they were made,
+        # so the `max_configs` cut falls where a configuration-by-configuration
+        # walk would put it.
+        level = []
+        for successor in successors:
+            visited.add(successor)
+            if len(visited) == size:
+                continue
+            if size >= max_configs:
+                visited.discard(successor)
+                cut_branches += 1
+                continue
+            size += 1
+            level.append(successor)
+        if size >= COMPILE_AFTER and step is expand:
+            step = engine._generated_step(len(counts))
+        depth += 1
+        # At the depth budget every vector is over `limit`, so none is
+        # expanded and the walk ends with that level.
+        if depth == max_depth:
+            limit = -1
     outcome = ExploreOutcome(
         results=frozenset(results),
         exhausted=cut_branches == 0,

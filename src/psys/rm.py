@@ -123,32 +123,40 @@ def _machine_reach(
     m: RegisterMachine, value_bound: int
 ) -> tuple[list[tuple[str, tuple[int, ...]]], bool]:
     """The reachable halting (label, registers) states with every register ≤ value_bound."""
+    # Each instruction is read once, into (is Add, register index, first
+    # target, second target); a Halt reads None.
+    table = {}
+    for label, ins in m.instructions.items():
+        if isinstance(ins, Add):
+            table[label] = (True, ins.register - 1, ins.goto_a, ins.goto_b)
+        elif isinstance(ins, Sub):
+            table[label] = (False, ins.register - 1, ins.goto_nonzero, ins.goto_zero)
+        else:
+            table[label] = None
     start = (m.start, (0,) * m.num_registers)
     seen = {start}
     frontier = [start]
     halts = []
     exhausted = True
     while frontier:
-        label, regs = frontier.pop()
-        ins = m.instructions[label]
-        if isinstance(ins, Halt):
-            halts.append((label, regs))
+        label, regs = state = frontier.pop()
+        row = table[label]
+        if row is None:
+            halts.append(state)
             continue
-        successors = []
-        if isinstance(ins, Add):
-            value = regs[ins.register - 1] + 1
+        is_add, r, first, second = row
+        value = regs[r]
+        if is_add:
+            value += 1
             if value > value_bound:
                 exhausted = False
-            else:
-                bumped = regs[: ins.register - 1] + (value,) + regs[ins.register :]
-                successors = [(ins.goto_a, bumped), (ins.goto_b, bumped)]
+                continue
+            bumped = regs[:r] + (value,) + regs[r + 1 :]
+            successors = ((first, bumped), (second, bumped))
+        elif value > 0:
+            successors = ((first, regs[:r] + (value - 1,) + regs[r + 1 :]),)
         else:
-            value = regs[ins.register - 1]
-            if value > 0:
-                dropped = regs[: ins.register - 1] + (value - 1,) + regs[ins.register :]
-                successors = [(ins.goto_nonzero, dropped)]
-            else:
-                successors = [(ins.goto_zero, regs)]
+            successors = ((second, regs),)
         for state in successors:
             if state in seen:
                 continue

@@ -208,7 +208,7 @@ def test_enabled_and_steps_agree_with_the_oracle_on_each_scan_branch():
                     after = eng.apply(c, StepChoice(tuple(enabled)))
                     assert successor == after._counts, (outs, objects)
                     continue
-                listed, complete = eng._listing(c._counts, got, 10_000)
+                listed, complete = eng._listing(c._counts, got, 10_000) if got else ((), True)
                 steps = tuple(map(StepChoice, listed))
             else:
                 got = [(rule.index, m) for rule, m in eng.enabled(c)]
@@ -1150,9 +1150,10 @@ def _expected_step(eng, counts):
     slot, else the enabled rules."""
     enabled = eng._enabled(counts)
     taken = [slot for index, _ in enabled for slot in eng._take_slots[index]]
-    if not enabled or len(taken) > len(set(taken)):
+    contended = len(taken) > len(set(taken))
+    assert eng._contended(enabled) == contended
+    if not enabled or contended:
         return None, enabled
-    assert eng._listing(counts, enabled, 10_000) == ((tuple(enabled),), True)
     pools = list(counts)
     for index, m in enabled:
         for slot, delta in eng._nets[index]:
@@ -1181,7 +1182,7 @@ def test_generated_step_equals_the_loop_on_random_systems():
             counts = eng._counts(c)[1]
             step = base if len(counts) == len(eng._start) else _generated(eng, counts)
             got = step(counts)
-            assert got == _expected_step(eng, counts), (seed, c)
+            assert got == _expected_step(eng, counts) == eng._expand(counts), (seed, c)
             several = len(eng._enabled(counts)) > 1
             compared["one step" if got[0] else "contended" if got[1] else "halted"] += 1
             compared["one step of several rules"] += several and got[0] is not None
@@ -1198,7 +1199,25 @@ def test_generated_step_equals_the_loop_on_ring_configurations():
     configurations = list(trace.configurations())
     assert len(configurations) == 2_000
     for c in configurations:
-        assert step(c._counts) == _expected_step(eng, c._counts)
+        assert step(c._counts) == _expected_step(eng, c._counts) == eng._expand(c._counts)
+
+
+def test_expand_and_the_generated_step_agree_on_the_suite_walks():
+    # Every vector the walks of the five machines visit at bound 32, one
+    # step or several, through the interpreted and the generated expansion.
+    kinds = Counter()
+    for machine in verification_suite():
+        eng = Engine(compile_machine(machine).system)
+        budget = ExploreBudget(max_depth=10_000, max_total_objects=machine.num_registers * 32 + 2)
+        vectors = {eng.initial()._counts}
+        explore(eng, budget, on_edge=lambda _, __, after: vectors.add(after._counts))
+        step = _generated(eng, eng._start)
+        for counts in vectors:
+            got = eng._expand(counts)
+            assert got == step(counts) == _expected_step(eng, counts), (machine, counts)
+            kinds["one step" if got[0] else "contended" if got[1] else "halted"] += 1
+    assert kinds["one step"] >= 8_000, kinds
+    assert kinds["contended"] >= 100 and kinds["halted"] >= 100, kinds
 
 
 def test_generated_step_reads_counts_past_the_digit_limit():

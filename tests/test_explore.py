@@ -339,6 +339,45 @@ def test_walk_matches_a_walk_memoizing_configurations_with_the_generated_step(mo
     assert widths[False] >= 500 and widths[True] >= 500, widths
 
 
+def test_the_depth_budget_also_counts_a_listing_the_branch_budget_cut():
+    # At depth 1 the membrane holds a^2 b^2 c^2 and the environment s: seven
+    # tracked objects and three maximal steps. The depth budget cuts the
+    # vector once, and a branch budget of 1 cuts its listing once more,
+    # unless the vector is over the object budget, which leaves it unlisted.
+    system = flat(
+        [CellAntiport(ms("s"), ms("a^2 b^2 c^2")), SymportOut(ms("a b")), SymportOut(ms("a c"))],
+        "s",
+        alphabet=("a", "b", "c", "s"),
+        env=("a", "b", "c"),
+    )
+    eng = Engine(system)
+    for max_total, max_branches, cuts in ((7, 1, 2), (8, 1, 2), (7, 3, 1), (6, 1, 1)):
+        budget = ExploreBudget(max_depth=1, max_total_objects=max_total, max_branches=max_branches)
+        outcome = explore(eng, budget)
+        assert (outcome.visited_configs, outcome.cut_branches) == (2, cuts), budget
+        expected, _ = memo_walk(eng, eng.initial(), budget)
+        assert outcome == ExploreOutcome(*expected), budget
+
+
+def test_a_walk_generates_its_step_after_the_level_that_fills_the_memo(monkeypatch):
+    # growing_system's walk meets one new configuration a level, so after
+    # level d the memo holds d + 2: with the threshold at k, the walk
+    # expands max(k - 1, 1) vectors itself, then generates its step once.
+    explore_module = importlib.import_module("psys.explore")
+    calls = []
+    expand, generate = Engine._expand, Engine._generated_step
+    monkeypatch.setattr(Engine, "_expand", lambda *args: calls.append("expand") or expand(*args))
+    monkeypatch.setattr(
+        Engine, "_generated_step", lambda *args: calls.append("generate") or generate(*args)
+    )
+    for after in (1, 2, 3, 7):
+        calls.clear()
+        monkeypatch.setattr(explore_module, "COMPILE_AFTER", after)
+        outcome = explore(growing_system(), ExploreBudget(max_total_objects=12))
+        assert outcome.visited_configs == 13 and outcome.cut_branches == 1
+        assert calls == ["expand"] * max(after - 1, 1) + ["generate"], after
+
+
 def test_walk_without_a_hook_makes_no_public_engine_call(monkeypatch):
     # The walk lists, applies and decides halting on count vectors; only a
     # witness or an on_edge hook needs Configuration or StepChoice objects.

@@ -1,6 +1,7 @@
 import importlib
 import random
 import timeit
+from collections import Counter
 
 import pytest
 
@@ -430,8 +431,10 @@ def test_verify_a_wrong_compilation_of_finished_walks_is_a_mismatch():
 
 
 def _halts(m, bound):
-    """Reachable halting register vectors with every register at most `bound`."""
+    """Reachable halting (label, registers) states with every register at most
+    `bound`, and whether no Add was pruned at the bound."""
     seen, todo, halts = set(), [(m.start, (0,) * m.num_registers)], set()
+    exhausted = True
     while todo:
         label, regs = state = todo.pop()
         if state in seen:
@@ -440,14 +443,30 @@ def _halts(m, bound):
         ins = m.instructions[label]
         i = getattr(ins, "register", 1) - 1
         if isinstance(ins, Halt):
-            halts.add(regs)
+            halts.add(state)
         elif isinstance(ins, Add) and regs[i] < bound:
             bumped = regs[:i] + (regs[i] + 1,) + regs[i + 1 :]
             todo += [(ins.goto_a, bumped), (ins.goto_b, bumped)]
+        elif isinstance(ins, Add):
+            exhausted = False
         elif isinstance(ins, Sub):
             dropped = regs[:i] + (regs[i] - 1,) + regs[i + 1 :]
             todo.append((ins.goto_nonzero, dropped) if regs[i] else (ins.goto_zero, regs))
-    return halts
+    return halts, exhausted
+
+
+def test_machine_reach_matches_a_plain_search_on_the_machine_population():
+    rm = importlib.import_module("psys.rm")
+    seen = Counter()
+    for seed in range(300):
+        m = random_machine(random.Random(seed))
+        for bound in range(7):
+            halts, exhausted = rm._machine_reach(m, bound)
+            assert len(halts) == len(set(halts)), (seed, bound)
+            assert (set(halts), exhausted) == _halts(m, bound), (seed, bound)
+            seen["cut" if not exhausted else "exhausted"] += 1
+            seen["halts"] += len(halts)
+    assert min(seen.values()) >= 300, seen
 
 
 def test_verify_generated_machines(monkeypatch):
@@ -460,7 +479,7 @@ def test_verify_generated_machines(monkeypatch):
         monkeypatch.setattr(explore_module, "COMPILE_AFTER", 10**9)
         m = random_machine(random.Random(seed))
         report = verify_compilation(m, value_bound=4)
-        normal = all(not any(regs[1:]) for regs in _halts(m, 4))
+        normal = all(not any(regs[1:]) for _, regs in _halts(m, 4)[0])
         assert report.normal_form_ok == normal, seed
         if not normal:
             assert not report.ok and not report.inconclusive
@@ -474,6 +493,36 @@ def test_verify_generated_machines(monkeypatch):
         monkeypatch.setattr(explore_module, "COMPILE_AFTER", 2)
         assert explore(system, budget) == loop, seed
     assert seen["ok"] >= 250 and min(seen.values()) >= 2, seen
+
+
+def test_suite_walks_agree_at_every_compile_threshold(monkeypatch):
+    # The generated step from the second configuration, at the default
+    # threshold, and never: the same outcomes at rm-verify's bound of 32.
+    # At the default only transfer's walk, 8,710 configurations, generates
+    # its step; the other four visit at most 102.
+    explore_module = importlib.import_module("psys.explore")
+    default = explore_module.COMPILE_AFTER
+    calls = []
+    generate = Engine._generated_step
+
+    def spy(engine, width):
+        calls.append(width)
+        return generate(engine, width)
+
+    monkeypatch.setattr(Engine, "_generated_step", spy)
+    generated = []
+    for machine in verification_suite():
+        system = compile_machine(machine).system
+        budget = ExploreBudget(max_depth=10_000, max_total_objects=machine.num_registers * 32 + 2)
+        outcomes = []
+        for after in (2, default, 10**9):
+            monkeypatch.setattr(explore_module, "COMPILE_AFTER", after)
+            calls.clear()
+            outcomes.append(explore(system, budget))
+            if after == default:
+                generated.append((outcomes[-1].visited_configs, len(calls)))
+        assert outcomes[0] == outcomes[1] == outcomes[2], machine
+    assert generated == [(2, 0), (102, 0), (68, 0), (13, 0), (8_710, 1)]
 
 
 def test_verify_flags_normal_form_breach():
